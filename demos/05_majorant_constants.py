@@ -43,8 +43,8 @@ def main():
         return build_frac_set(SetSpec("frac_plus", h, h, N))
 
     print("uniformity across N at p = 2.5 (x log x family, small budget):")
-    rows = uniformity_sweep(build, 2.5, [2**8, 2**9, 2**10, 2**11],
-                            budget=300, seed=11)
+    rows, _ = uniformity_sweep(build, 2.5, [2**8, 2**9, 2**10, 2**11],
+                               budget=300, seed=11)
     for r in rows:
         print(f"   N = {r.params['N']:>5}: lower estimate {r.value:.6f}, "
               f"envelope {r.reference:.2f}")

@@ -7,14 +7,17 @@ task index before anything is written, so the output is identical for
 any worker count.  Randomness always flows from the single master seed
 through the published per-task derivation.
 
-Exit codes: 0 success, 2 invalid parameters, 3 capacity/budget
-exceeded, 4 verify-suite failure.
+Exit codes: 0 success, 2 invalid parameters (flags, config file or
+function parameters), 3 capacity/budget exceeded (a work cap, or a
+quadrature that cannot converge under the grid cap), 4 verify-suite
+failure.  `--grid-cap` applies to the one call it is given to.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,35 +26,26 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as _verify
-from .errors import AdmissibilityError, CapacityError
+from .errors import AdmissibilityError, CapacityError, ConvergenceError
 from .expsum import error_term, vdc_ratio_sweep, weighted_inverse_vs_dirichlet
-from .majorant import (
-    DEFAULT_BUDGET,
-    MajorantProblem,
-    estimate_constant,
-    p_threshold,
-    uniformity_sweep,
-)
-from .rvfunc import InverseFn, PsiFn, RegVaryFn, SlowlyVaryingSpec
+from .majorant import DEFAULT_BUDGET, p_threshold, uniformity_sweep
+from .rvfunc import InverseFn, PsiFn, RegVaryFn
 from .sparseset import SetSpec, build_frac_set, build_set
 from .sweeps import (
     StopWatch,
     SweepResult,
-    derive_seed,
     fit_loglog_slope,
     write_csv,
     write_jsonl,
     xi_grid,
 )
 from .trigpoly import (
+    GRID_CAP_ENV,
     fourier_sup_of_difference,
     measure_mu,
     measure_nu,
     restriction_ratios,
 )
-
-EXPERIMENTS = ("count", "expsum-decay", "vdc", "lemma2", "prop2",
-               "majorant", "thresholds", "verify")
 
 
 @dataclass
@@ -94,14 +88,8 @@ class ExperimentConfig:
 
 
 def _family(kv: dict, default_c: float = 1.0) -> RegVaryFn:
-    ell = SlowlyVaryingSpec(
-        kv.get("family", "log_power"),
-        B=float(kv.get("B", 1.0)),
-        C=float(kv.get("C", 0.5)),
-        m=int(kv.get("m", 1)),
-    )
-    x0 = float(kv["x0"]) if "x0" in kv else None
-    return RegVaryFn(float(kv.get("c", default_c)), ell, x0=x0)
+    return RegVaryFn.from_kv(", ".join(
+        f"{k}={v}" for k, v in {"c": default_c, **kv}.items()))
 
 
 def _levels_list(spec: str) -> list:
@@ -109,187 +97,148 @@ def _levels_list(spec: str) -> list:
     return [2**j for j in range(int(lo), int(hi) + 1)]
 
 
-def _run_tasks(tasks, workers: int):
-    """Run index-tagged tasks, deterministically ordered output."""
-    if workers <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
+def _sweep(cfg: ExperimentConfig, axis, task, points, key=lambda r: None):
+    """The rows of task(x) for every x in axis, in axis order for any
+    worker count.  Rows with equal key(row) share one exponent: the
+    log-log slope through points(rows of the group) = (xs, ys)."""
+    if cfg.workers <= 1:
+        groups = [task(x) for x in axis]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            groups = list(pool.map(task, axis))
+    rows = [r for g in groups for r in g]
+    for k in dict.fromkeys(map(key, rows)):
+        group = [r for r in rows if key(r) == k]
+        slope = fit_loglog_slope(*points(group))
+        for r in group:
+            r.exponent = slope
+    return rows
+
+
+def _per_row(y):
+    """points() pairing every row's N with y(row), repeated N included."""
+    return lambda rows: ([r.params["N"] for r in rows], [y(r) for r in rows])
 
 
 # ------------------------------------------------------------ experiments
 
 
 def _exp_count(cfg: ExperimentConfig):
-    spec0 = SetSpec(cfg.kind, _family(cfg.h1), _family(cfg.h2), 1,
-                    psi_mode=cfg.psi_mode)
-    phi2 = InverseFn(spec0.h2)
+    h1, h2 = _family(cfg.h1), _family(cfg.h2)
+    phi2 = InverseFn(h2)
 
-    def make_task(i, N):
-        def task():
-            with StopWatch() as sw:
-                sub = SetSpec(cfg.kind, spec0.h1, spec0.h2, int(N),
-                              psi_mode=cfg.psi_mode)
-                built = build_set(sub)
-            if cfg.set_out and N == max(cfg.N_list):
-                built.save(cfg.set_out)
-            ref = phi2.invert(float(N))
-            return SweepResult(
-                experiment="count", quantity="cardinality_ratio",
-                value=float(len(built)), reference=ref,
-                ratio=len(built) / ref, wall_ms=sw.ms, seed=cfg.seed,
-                borderline_count=built.borderline_count,
-                params={"N": int(N), "kind": cfg.kind,
-                        "h1": spec0.h1.to_kv(), "h2": spec0.h2.to_kv(),
-                        "psi_mode": cfg.psi_mode},
-            )
-        return task
+    def task(N):
+        with StopWatch() as sw:
+            built = build_set(SetSpec(cfg.kind, h1, h2, int(N),
+                                      psi_mode=cfg.psi_mode))
+        if cfg.set_out and N == max(cfg.N_list):
+            built.save(cfg.set_out)
+        ref = phi2.invert(float(N))
+        return [SweepResult(
+            experiment="count", quantity="cardinality_ratio",
+            value=float(len(built)), reference=ref,
+            ratio=len(built) / ref, wall_ms=sw.ms, seed=cfg.seed,
+            borderline_count=built.borderline_count,
+            params={"N": int(N), "kind": cfg.kind, "h1": h1.to_kv(),
+                    "h2": h2.to_kv(), "psi_mode": cfg.psi_mode},
+        )]
 
-    rows = _run_tasks([make_task(i, N) for i, N in enumerate(cfg.N_list)],
-                      cfg.workers)
-    slope = fit_loglog_slope(cfg.N_list,
-                             np.abs(np.array([r.ratio for r in rows]) - 1.0))
-    for r in rows:
-        r.exponent = slope
-    return rows
+    return _sweep(cfg, cfg.N_list, task, _per_row(lambda r: abs(r.ratio - 1.0)))
 
 
-def _exp_expsum_decay(cfg: ExperimentConfig):
+def _exp_per_xi(cfg: ExperimentConfig, quantity, measure, reference, y, params):
+    """measure(bset, xi) on the set of every N at every xi of the grid,
+    reported against reference(phi2, N); the rows of one xi share the
+    slope of y(row) against N.  params(h1, h2) adds row columns."""
     h1, h2 = _family(cfg.h1), _family(cfg.h2)
     xis = xi_grid(cfg.xi_rule, seed=cfg.seed)
     phi2 = InverseFn(h2)
+    extra = params(h1, h2)
 
-    def make_task(i, N):
-        def task():
-            spec = SetSpec(cfg.kind, h1, h2, int(N), psi_mode=cfg.psi_mode)
-            bset = build_frac_set(spec)
-            ref = phi2.invert(float(N))
-            out = []
-            for xi in xis:
-                with StopWatch() as sw:
-                    err = error_term(bset, float(xi))
-                out.append(SweepResult(
-                    experiment="expsum-decay", quantity="error_over_phi2",
-                    value=err, reference=ref, ratio=err / ref, wall_ms=sw.ms,
-                    seed=cfg.seed, borderline_count=bset.borderline_count,
-                    params={"N": int(N), "xi": float(xi),
-                            "h1": h1.to_kv(), "h2": h2.to_kv()},
-                ))
-            return out
-        return task
+    def task(N):
+        bset = build_frac_set(SetSpec(cfg.kind, h1, h2, int(N),
+                                      psi_mode=cfg.psi_mode))
+        ref = reference(phi2, N)
+        rows = []
+        for xi in xis:
+            with StopWatch() as sw:
+                v = measure(bset, float(xi))
+            rows.append(SweepResult(
+                experiment=cfg.experiment, quantity=quantity, value=v,
+                reference=ref, ratio=v / ref, wall_ms=sw.ms, seed=cfg.seed,
+                borderline_count=bset.borderline_count,
+                params={"N": int(N), "xi": float(xi), **extra},
+            ))
+        return rows
 
-    groups = _run_tasks([make_task(i, N) for i, N in enumerate(cfg.N_list)],
-                        cfg.workers)
-    rows = [r for g in groups for r in g]
-    for xi in xis:
-        sel = [r for r in rows if r.params["xi"] == float(xi)]
-        slope = fit_loglog_slope([r.params["N"] for r in sel],
-                                 [r.ratio for r in sel])
-        for r in sel:
-            r.exponent = slope
-    return rows
+    return _sweep(cfg, cfg.N_list, task, _per_row(y),
+                  key=lambda r: r.params["xi"])
+
+
+def _exp_expsum_decay(cfg: ExperimentConfig):
+    return _exp_per_xi(cfg, "error_over_phi2", error_term,
+                       lambda phi2, N: phi2.invert(float(N)),
+                       lambda r: r.ratio,
+                       lambda h1, h2: {"h1": h1.to_kv(), "h2": h2.to_kv()})
+
+
+def _exp_lemma2(cfg: ExperimentConfig):
+    return _exp_per_xi(cfg, "inverse_weight_deviation",
+                       weighted_inverse_vs_dirichlet,
+                       lambda phi2, N: float(N), lambda r: r.value,
+                       lambda h1, h2: {})
 
 
 def _exp_vdc(cfg: ExperimentConfig):
     h1, h2 = _family(cfg.h1), _family(cfg.h2)
     phi1 = InverseFn(h1)
     psi = PsiFn(InverseFn(h2), mode=cfg.psi_mode)
-    xis = xi_grid(cfg.xi_rule, seed=cfg.seed)
     levels = _levels_list(cfg.levels)
 
-    def make_task(i, xi):
-        def task():
-            return vdc_ratio_sweep(phi1, psi, cfg.m_max, [float(xi)], levels)
-        return task
+    def task(xi):
+        rows = vdc_ratio_sweep(phi1, psi, cfg.m_max, [float(xi)], levels)
+        for r in rows:
+            r.seed = cfg.seed
+        return rows
 
-    groups = _run_tasks([make_task(i, x) for i, x in enumerate(xis)],
-                        cfg.workers)
-    rows = [r for g in groups for r in g]
-    per_level = {N: max(r.ratio for r in rows if r.params["N"] == N)
-                 for N in levels}
-    slope = fit_loglog_slope(levels, [per_level[N] for N in levels])
-    for r in rows:
-        r.exponent = slope
-        r.seed = cfg.seed
-    return rows
+    def level_max(rows):
+        return levels, [max(r.ratio for r in rows if r.params["N"] == N)
+                        for N in levels]
 
-
-def _exp_lemma2(cfg: ExperimentConfig):
-    h1, h2 = _family(cfg.h1), _family(cfg.h2)
-    xis = xi_grid(cfg.xi_rule, seed=cfg.seed)
-
-    def make_task(i, N):
-        def task():
-            spec = SetSpec(cfg.kind, h1, h2, int(N), psi_mode=cfg.psi_mode)
-            bset = build_frac_set(spec)
-            out = []
-            for xi in xis:
-                with StopWatch() as sw:
-                    dev = weighted_inverse_vs_dirichlet(bset, float(xi))
-                out.append(SweepResult(
-                    experiment="lemma2", quantity="inverse_weight_deviation",
-                    value=dev, reference=float(N), ratio=dev / N, wall_ms=sw.ms,
-                    seed=cfg.seed, borderline_count=bset.borderline_count,
-                    params={"N": int(N), "xi": float(xi)},
-                ))
-            return out
-        return task
-
-    groups = _run_tasks([make_task(i, N) for i, N in enumerate(cfg.N_list)],
-                        cfg.workers)
-    rows = [r for g in groups for r in g]
-    for xi in xis:
-        sel = [r for r in rows if r.params["xi"] == float(xi)]
-        slope = fit_loglog_slope([r.params["N"] for r in sel],
-                                 [r.value for r in sel])
-        for r in sel:
-            r.exponent = slope
-    return rows
+    return _sweep(cfg, xi_grid(cfg.xi_rule, seed=cfg.seed), task, level_max)
 
 
 def _exp_prop2(cfg: ExperimentConfig):
     h1, h2 = _family(cfg.h1), _family(cfg.h2, default_c=1.1)
     base_p = p_threshold(h1.c, h2.c)
     p = base_p if cfg.at_endpoint else base_p + cfg.p_offset
-    levels = _levels_list(cfg.levels)
 
-    def make_task(i, N):
-        def task():
-            spec = SetSpec(cfg.kind, h1, h2, int(N), psi_mode=cfg.psi_mode)
-            bset = build_frac_set(spec)
-            with StopWatch() as sw:
-                ratios = restriction_ratios(bset, p, trials=cfg.trials,
-                                            seed=cfg.seed, tol=cfg.tol)
-                sup, grid = fourier_sup_of_difference(
-                    measure_mu(bset), measure_nu(int(N)))
-            return [
-                SweepResult(
-                    experiment="prop2", quantity="restriction_ratio_max",
-                    value=float(max(ratios)), wall_ms=sw.ms,
-                    seed=cfg.seed, borderline_count=bset.borderline_count,
-                    params={"N": int(N), "p": p, "trials": cfg.trials,
-                            "set_size": len(bset)},
-                ),
-                SweepResult(
-                    experiment="prop2", quantity="mu_nu_fourier_sup",
-                    value=sup, reference=None, ratio=None, wall_ms=sw.ms,
-                    seed=cfg.seed,
-                    params={"N": int(N), "p": p, "grid": grid},
-                ),
-            ]
-        return task
+    def task(N):
+        spec = SetSpec(cfg.kind, h1, h2, int(N), psi_mode=cfg.psi_mode)
+        bset = build_frac_set(spec)
+        with StopWatch() as sw:
+            ratios = restriction_ratios(bset, p, trials=cfg.trials,
+                                        seed=cfg.seed, tol=cfg.tol)
+            sup, grid = fourier_sup_of_difference(
+                measure_mu(bset), measure_nu(int(N)))
+        return [
+            SweepResult(
+                experiment="prop2", quantity="restriction_ratio_max",
+                value=float(max(ratios)), wall_ms=sw.ms,
+                seed=cfg.seed, borderline_count=bset.borderline_count,
+                params={"N": int(N), "p": p, "trials": cfg.trials,
+                        "set_size": len(bset)},
+            ),
+            SweepResult(
+                experiment="prop2", quantity="mu_nu_fourier_sup",
+                value=sup, reference=None, ratio=None, wall_ms=sw.ms,
+                seed=cfg.seed,
+                params={"N": int(N), "p": p, "grid": grid},
+            ),
+        ]
 
-    groups = _run_tasks([make_task(i, N) for i, N in enumerate(levels)],
-                        cfg.workers)
-    rows = [r for g in groups for r in g]
-    for quantity in ("restriction_ratio_max", "mu_nu_fourier_sup"):
-        sel = [r for r in rows if r.quantity == quantity]
-        slope = fit_loglog_slope([r.params["N"] for r in sel],
-                                 [r.value for r in sel])
-        for r in sel:
-            r.exponent = slope
-    return rows
+    return _sweep(cfg, _levels_list(cfg.levels), task,
+                  _per_row(lambda r: r.value), key=lambda r: r.quantity)
 
 
 def _exp_majorant(cfg: ExperimentConfig):
@@ -305,17 +254,15 @@ def _exp_majorant(cfg: ExperimentConfig):
         return build_frac_set(SetSpec(cfg.kind, h1, h2, N,
                                       psi_mode=cfg.psi_mode))
 
-    rows = uniformity_sweep(build, cfg.p, cfg.N_list, budget=cfg.budget,
-                            seed=cfg.seed, method=cfg.method, tol=max(cfg.tol, 1e-9))
+    rows, estimates = uniformity_sweep(
+        build, cfg.p, cfg.N_list, budget=cfg.budget, seed=cfg.seed,
+        method=cfg.method, tol=max(cfg.tol, 1e-9))
     if cfg.coeffs_out:
-        bset = build(int(max(cfg.N_list)))
-        prob = MajorantProblem(bset.members, int(max(cfg.N_list)), cfg.p,
-                               budget=cfg.budget,
-                               seed=derive_seed(cfg.seed, len(cfg.N_list) - 1))
-        est = estimate_constant(prob, method=cfg.method)
+        largest = int(np.argmax(cfg.N_list))
+        members = build(int(cfg.N_list[largest])).members
         with open(cfg.coeffs_out, "w") as fh:
             fh.write("# n, re(a_n), im(a_n)\n")
-            for n, a in zip(bset.members, est.argmax_coeffs):
+            for n, a in zip(members, estimates[largest].argmax_coeffs):
                 fh.write(f"{n},{float(a.real)!r},{float(a.imag)!r}\n")
     return rows
 
@@ -335,130 +282,124 @@ def _exp_thresholds(cfg: ExperimentConfig):
 
 
 def _exp_verify(cfg: ExperimentConfig):
+    """One row per check, value 1.0 when it passed and 0.0 when not."""
     report = _verify.suite(cfg.level)
     for line in report.lines():
         print(line)
-    rows = [SweepResult(
+    return [SweepResult(
         experiment="verify", quantity=r.name,
         value=1.0 if r.passed else 0.0,
         params={"level": r.level, "measured": r.measured.replace(",", ";")},
     ) for r in report.results]
-    return rows, report.all_passed
 
 
-_RUNNERS = {
-    "count": _exp_count,
-    "expsum-decay": _exp_expsum_decay,
-    "vdc": _exp_vdc,
-    "lemma2": _exp_lemma2,
-    "prop2": _exp_prop2,
-    "majorant": _exp_majorant,
-    "thresholds": _exp_thresholds,
+# ------------------------------------------------------------ the table
+
+# add_argument keywords of the flags every parser accepts, before and
+# after the subcommand name
+_GLOBAL_FLAGS = {"--config": {"type": str}, "--out": {"type": str},
+                 "--seed": {"type": int}, "--workers": {"type": int},
+                 "--format": {"dest": "fmt", "type": str,
+                              "choices": ("csv", "jsonl", "both")},
+                 "--tol": {"type": float}, "--grid-cap": {"type": int}}
+
+# add_argument keywords of the h1/h2 flags --c1 ... --m2, then of every
+# other subcommand flag; each defaults to None
+_H_FLAGS = {"c": {"type": float},
+            "ell": {"type": str, "choices": ("log_power", "exp_log_power",
+                                             "iterated_log", "constant_one")},
+            "B": {"type": float}, "C": {"type": float}, "m": {"type": int}}
+_FLAGS = {
+    **{f"--{name}{i}": kw for i in "12" for name, kw in _H_FLAGS.items()},
+    "--family": {"type": str, "help": "shorthand: slowly varying family "
+                                      "for both h1 and h2"},
+    "--psi-mode": {"type": str, "choices": ("difference", "derivative")},
+    "--N-list": {"type": str, "dest": "n_list"},
+    "--kind": {"type": str,
+               "choices": ("frac_plus", "frac_minus", "floor_image")},
+    "--set-out": {"type": str},
+    "--xi-rule": {"type": str},
+    "--m-max": {"type": int},
+    "--levels": {"type": str, "help": "dyadic exponent range lo:hi"},
+    "--trials": {"type": int},
+    "--p-offset": {"type": float},
+    "--p": {"type": float},
+    "--N": {"type": int},
+    "--budget": {"type": int},
+    "--method": {"type": str, "choices": ("signs", "phase", "both")},
+    "--coeffs-out": {"type": str},
+    "--at-endpoint": {"action": "store_true"},
+    "--level": {"type": str, "choices": ("quick", "full")},
+}
+_H = (*(f"--{name}{i}" for i in "12" for name in _H_FLAGS), "--family",
+      "--psi-mode")
+
+# subcommand -> (runner returning the rows, its flags)
+EXPERIMENTS = {
+    "count": (_exp_count, (*_H, "--N-list", "--kind", "--set-out")),
+    "expsum-decay": (_exp_expsum_decay,
+                     (*_H, "--N-list", "--kind", "--xi-rule")),
+    "vdc": (_exp_vdc, (*_H, "--xi-rule", "--m-max", "--levels")),
+    "lemma2": (_exp_lemma2, (*_H, "--N-list", "--kind", "--xi-rule")),
+    "prop2": (_exp_prop2,
+              (*_H, "--levels", "--trials", "--p-offset", "--at-endpoint")),
+    "majorant": (_exp_majorant,
+                 (*_H, "--N-list", "--p", "--N", "--budget", "--method",
+                  "--coeffs-out", "--at-endpoint")),
+    "thresholds": (_exp_thresholds, _H),
+    "verify": (_exp_verify, ("--level",)),
 }
 
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment and write its artifacts."""
-    import os
-
-    if cfg.grid_cap is not None:
-        os.environ["MAJORANTLAB_GRID_CAP"] = str(int(cfg.grid_cap))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ok = True
+    outside_cap = os.environ.get(GRID_CAP_ENV)
+    if cfg.grid_cap is not None:
+        os.environ[GRID_CAP_ENV] = str(int(cfg.grid_cap))
     try:
-        if cfg.experiment == "verify":
-            rows, ok = _exp_verify(cfg)
-        else:
-            rows = _RUNNERS[cfg.experiment](cfg)
+        rows = EXPERIMENTS[cfg.experiment][0](cfg)
     except (AdmissibilityError, ValueError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
+    except (CapacityError, ConvergenceError) as exc:
         print(f"capacity/budget exceeded: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if outside_cap is None:
+            os.environ.pop(GRID_CAP_ENV, None)
+        else:
+            os.environ[GRID_CAP_ENV] = outside_cap
     echo = cfg.echo()
     stem = out_dir / cfg.experiment
     if cfg.fmt in ("csv", "both"):
         write_csv(stem.with_suffix(".csv"), rows, config_echo=echo)
     if cfg.fmt in ("jsonl", "both"):
         write_jsonl(stem.with_suffix(".jsonl"), rows, config_echo=echo)
-    return 0 if ok else 4
+    failed = any(r.experiment == "verify" and r.value == 0.0 for r in rows)
+    return 4 if failed else 0
 
 
 # ---------------------------------------------------------------- parsing
 
 
-def _add_family_flags(ap: argparse.ArgumentParser):
-    for i in ("1", "2"):
-        ap.add_argument(f"--c{i}", type=float, default=None)
-        ap.add_argument(f"--ell{i}", type=str, default=None,
-                        choices=("log_power", "exp_log_power",
-                                 "iterated_log", "constant_one"))
-        ap.add_argument(f"--B{i}", type=float, default=None)
-        ap.add_argument(f"--C{i}", type=float, default=None)
-        ap.add_argument(f"--m{i}", type=int, default=None)
-    ap.add_argument("--family", type=str, default=None,
-                    help="shorthand: slowly varying family for both h1 and h2")
-    ap.add_argument("--psi-mode", type=str, default=None,
-                    choices=("difference", "derivative"))
-
-
-def _global_flags() -> argparse.ArgumentParser:
-    # SUPPRESS keeps a subparser from clobbering a flag that was already
-    # given before the subcommand name
-    S = argparse.SUPPRESS
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=S)
-    common.add_argument("--out", type=str, default=S)
-    common.add_argument("--seed", type=int, default=S)
-    common.add_argument("--workers", type=int, default=S)
-    common.add_argument("--format", dest="fmt", type=str, default=S,
-                        choices=("csv", "jsonl", "both"))
-    common.add_argument("--tol", type=float, default=S)
-    common.add_argument("--grid-cap", type=int, default=S)
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _global_flags()
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, kw in _GLOBAL_FLAGS.items():
+        # SUPPRESS keeps a subparser from clobbering a flag that was
+        # already given before the subcommand name
+        common.add_argument(flag, default=argparse.SUPPRESS, **kw)
     ap = argparse.ArgumentParser(
         prog="majorantlab",
         parents=[common],
         description="Numerical experiments on sparse-set exponential sums "
                     "and majorant constants.")
     sub = ap.add_subparsers(dest="experiment", required=True)
-
-    sp = {}
-    for name in EXPERIMENTS:
-        sp[name] = sub.add_parser(name, parents=[common])
-        if name != "verify":
-            _add_family_flags(sp[name])
-
-    for name in ("count", "expsum-decay", "lemma2", "majorant"):
-        sp[name].add_argument("--N-list", type=str, default=None)
-    for name in ("count", "expsum-decay", "lemma2"):
-        sp[name].add_argument("--kind", type=str, default=None,
-                              choices=("frac_plus", "frac_minus", "floor_image"))
-    sp["count"].add_argument("--set-out", type=str, default=None)
-    for name in ("expsum-decay", "vdc", "lemma2"):
-        sp[name].add_argument("--xi-rule", type=str, default=None)
-    sp["vdc"].add_argument("--m-max", type=int, default=None)
-    for name in ("vdc", "prop2"):
-        sp[name].add_argument("--levels", type=str, default=None,
-                              help="dyadic exponent range lo:hi")
-    sp["prop2"].add_argument("--trials", type=int, default=None)
-    sp["prop2"].add_argument("--p-offset", type=float, default=None)
-    sp["prop2"].add_argument("--at-endpoint", action="store_true", default=None)
-    sp["majorant"].add_argument("--p", type=float, default=None)
-    sp["majorant"].add_argument("--N", type=int, default=None)
-    sp["majorant"].add_argument("--budget", type=int, default=None)
-    sp["majorant"].add_argument("--method", type=str, default=None,
-                                choices=("signs", "phase", "both"))
-    sp["majorant"].add_argument("--coeffs-out", type=str, default=None)
-    sp["majorant"].add_argument("--at-endpoint", action="store_true", default=None)
-    sp["verify"].add_argument("--level", type=str, default=None,
-                              choices=("quick", "full"))
+    for name, (_, flags) in EXPERIMENTS.items():
+        sp = sub.add_parser(name, parents=[common])
+        for flag in flags:
+            sp.add_argument(flag, default=None, **_FLAGS[flag])
     return ap
 
 
@@ -479,54 +420,38 @@ def _parse_n_list(text: str) -> list:
     return [int(float(v)) for v in text.split(",") if v.strip()]
 
 
+# config-file key -> parser of its value; a flag given for the same key
+# (--grid-cap for grid_cap) overrides the file.  `out` and `n_list` set
+# out_dir and N_list.
+_KEYS = {"out": str, "seed": int, "workers": int, "fmt": str, "tol": float,
+         "grid_cap": int, "psi_mode": str, "kind": str, "xi_rule": str,
+         "m_max": int, "levels": str, "trials": int, "p_offset": float,
+         "p": float, "budget": int, "method": str, "set_out": str,
+         "coeffs_out": str, "level": str, "n_list": _parse_n_list}
+_FIELDS = {"out": "out_dir", "n_list": "N_list"}
+
+
 def resolve_config(argv=None) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
-    config_path = getattr(args, "config", None)
-    file_cfg = (_config_from_file(config_path) if config_path
+    flags = {k: v for k, v in vars(build_parser().parse_args(argv)).items()
+             if v is not None}
+    file_cfg = (_config_from_file(flags["config"]) if "config" in flags
                 else {"h1": {}, "h2": {}})
-    cfg = ExperimentConfig(experiment=args.experiment)
-
-    cfg.h1.update(file_cfg.get("h1", {}))
-    cfg.h2.update(file_cfg.get("h2", {}))
-    for key in ("psi_mode", "kind", "xi_rule", "levels", "method", "fmt",
-                "set_out", "coeffs_out", "level"):
-        if key in file_cfg:
-            setattr(cfg, key, file_cfg[key])
-    for key in ("p", "p_offset", "tol"):
-        if key in file_cfg:
-            setattr(cfg, key, float(file_cfg[key]))
-    for key in ("m_max", "trials", "budget", "seed", "workers", "grid_cap"):
-        if key in file_cfg:
-            setattr(cfg, key, int(file_cfg[key]))
-    if "n_list" in file_cfg:
-        cfg.N_list = _parse_n_list(file_cfg["n_list"])
-    if "out" in file_cfg:
-        cfg.out_dir = file_cfg["out"]
-
-    a = vars(args)
-    for i in ("1", "2"):
-        tgt = cfg.h1 if i == "1" else cfg.h2
-        if a.get("family") is not None:
-            tgt.setdefault("family", a["family"])
-        for flag, key in ((f"c{i}", "c"), (f"ell{i}", "family"),
-                          (f"B{i}", "B"), (f"C{i}", "C"), (f"m{i}", "m")):
-            if a.get(flag) is not None:
-                tgt[key] = a[flag]
-    direct = {"out": "out_dir", "seed": "seed", "workers": "workers",
-              "fmt": "fmt", "tol": "tol", "grid_cap": "grid_cap",
-              "psi_mode": "psi_mode", "kind": "kind", "xi_rule": "xi_rule",
-              "m_max": "m_max", "levels": "levels", "trials": "trials",
-              "p_offset": "p_offset", "at_endpoint": "at_endpoint",
-              "p": "p", "budget": "budget", "method": "method",
-              "set_out": "set_out", "coeffs_out": "coeffs_out",
-              "level": "level"}
-    for flag, key in direct.items():
-        if a.get(flag) is not None:
-            setattr(cfg, key, a[flag])
-    if a.get("N_list") is not None:
-        cfg.N_list = _parse_n_list(a["N_list"])
-    if a.get("N") is not None:
-        cfg.N_list = [a["N"]]
+    cfg = ExperimentConfig(experiment=flags["experiment"],
+                           h1=file_cfg["h1"], h2=file_cfg["h2"])
+    given = {**file_cfg, **flags}
+    for key, parse in _KEYS.items():
+        if key in given:
+            setattr(cfg, _FIELDS.get(key, key), parse(given[key]))
+    for i, tgt in (("1", cfg.h1), ("2", cfg.h2)):
+        if "family" in flags:
+            tgt.setdefault("family", flags["family"])
+        for name in _H_FLAGS:
+            if name + i in flags:
+                tgt["family" if name == "ell" else name] = flags[name + i]
+    if "at_endpoint" in flags:
+        cfg.at_endpoint = True
+    if "N" in flags:
+        cfg.N_list = [flags["N"]]
     return cfg
 
 
@@ -535,6 +460,9 @@ def main(argv=None) -> int:
         cfg = resolve_config(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    except (OSError, ValueError, configparser.Error) as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 2
     return run(cfg)
 
 

@@ -410,15 +410,17 @@ def hy_envelope(A, N: int, p: float) -> float:
 
 def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGET,
                      seed: int = 0, method: str = "both", tol: float = 1e-9,
-                     experiment: str = "majorant") -> list[SweepResult]:
+                     experiment: str = "majorant"
+                     ) -> tuple[list[SweepResult], list[MajorantEstimate]]:
     """Constant estimates across N with a shared optimizer budget.
 
-    build_set_fn(N) -> SparseSet.  The no-growth verdict is the fitted
+    build_set_fn(N) -> SparseSet.  Returns one row and one estimate per
+    entry of N_list, in its order.  The no-growth verdict is the fitted
     log-log slope of the estimates, attached to every row; each row also
     carries the running maximum and the a priori envelope.
     """
     rows = []
-    values = []
+    estimates = []
     running = -math.inf
     for i, N in enumerate(N_list):
         with StopWatch() as sw:
@@ -428,7 +430,7 @@ def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGE
             est = estimate_constant(prob, method=method, tol=tol)
             env = hy_envelope(bset.members, int(N), p)
         running = max(running, est.value)
-        values.append(est.value)
+        estimates.append(est)
         rows.append(SweepResult(
             experiment=experiment, quantity="majorant_lower_estimate",
             value=est.value, reference=env, ratio=est.value / env,
@@ -439,7 +441,7 @@ def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGE
                     "running_max": running,
                     "budget_exhausted": est.budget_exhausted},
         ))
-    slope = fit_loglog_slope(list(N_list), values)
+    slope = fit_loglog_slope(list(N_list), [e.value for e in estimates])
     for r in rows:
         r.exponent = slope
-    return rows
+    return rows, estimates

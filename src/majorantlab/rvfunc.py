@@ -86,6 +86,7 @@ class SlowlyVaryingSpec:
     # -- raw evaluations, no domain checks (used by the x0 search) --------
 
     def _ell_raw(self, x):
+        """ell in the precision of x (float64 or longdouble)."""
         if self.kind == "log_power":
             return np.log(x) ** self.B
         if self.kind == "exp_log_power":
@@ -95,7 +96,7 @@ class SlowlyVaryingSpec:
             for _ in range(self.m - 1):
                 v = np.log(v)
             return v
-        return np.ones_like(np.asarray(x, dtype=np.float64))
+        return np.ones_like(x)
 
     def _check(self, x):
         if np.any(x < self.x0 * (1 - 1e-12)):
@@ -106,19 +107,6 @@ class SlowlyVaryingSpec:
         x, scalar = _as_array(x)
         self._check(x)
         return _ret(self._ell_raw(x), scalar)
-
-    def ell_longdouble(self, x):
-        """ell evaluated in extended precision; x must be a longdouble array."""
-        if self.kind == "log_power":
-            return np.log(x) ** np.longdouble(self.B)
-        if self.kind == "exp_log_power":
-            return np.exp(np.longdouble(self.B) * np.log(x) ** np.longdouble(self.C))
-        if self.kind == "iterated_log":
-            v = np.log(x)
-            for _ in range(self.m - 1):
-                v = np.log(v)
-            return v
-        return np.ones_like(x)
 
     def theta(self, x, order: int = 0):
         """The kernel theta = x ell'/ell and its first two derivatives."""
@@ -302,7 +290,7 @@ class RegVaryFn:
             p = x
         else:
             p = x ** np.longdouble(self.c)
-        return p * self.ell.ell_longdouble(x)
+        return p * self.ell._ell_raw(x)
 
     # -- flat key=value serialization -------------------------------------
 

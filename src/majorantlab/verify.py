@@ -335,8 +335,8 @@ def check_uniformity_mini():
     def build(N):
         return build_frac_set(SetSpec("frac_plus", h, h, N))
 
-    rows = uniformity_sweep(build, 2.5, [2**8, 2**9, 2**10, 2**11],
-                            budget=200, seed=77)
+    rows, _ = uniformity_sweep(build, 2.5, [2**8, 2**9, 2**10, 2**11],
+                               budget=200, seed=77)
     slope = rows[0].exponent
     below = all(r.value <= r.reference for r in rows)
     return slope <= 0.02 and below, f"estimate slope {slope:.4f}, below envelope {below}"

@@ -225,7 +225,7 @@ def test_criterion_8_theorem1_surrogate():
         return build_frac_set(SetSpec("frac_plus", h, h, N))
 
     Ns = [2**j for j in range(10, 17)]
-    rows = uniformity_sweep(build, 2.5, Ns, seed=2024)
+    rows, _ = uniformity_sweep(build, 2.5, Ns, seed=2024)
     slope = rows[0].exponent
     below = all(r.value <= r.reference for r in rows)
     ok = slope <= 0.02 and below

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from majorantlab import expsum, load_set
+from majorantlab import TrigPoly, expsum, load_set, lp_norm, trigpoly
 from majorantlab.cli import main
 from majorantlab.verify import (
     VerifyReport,
@@ -91,6 +91,37 @@ def test_majorant_subcommand_with_sidecar(tmp_path):
     assert abs(complex(float(re), float(im))) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n_list", ["256,512", "512,256"])
+def test_majorant_sidecar_is_the_reported_estimate(tmp_path, monkeypatch,
+                                                   n_list):
+    import majorantlab.cli as cli_mod
+    import majorantlab.majorant as majorant_mod
+
+    calls = []
+    real = majorant_mod.estimate_constant
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].N)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(majorant_mod, "estimate_constant", counting)
+    monkeypatch.setattr(cli_mod, "estimate_constant", counting, raising=False)
+    sidecar = tmp_path / "coeffs.csv"
+    assert main(["majorant", "--N-list", n_list, "--p", "2.5", "--budget", "40",
+                 "--seed", "3", "--out", str(tmp_path),
+                 "--coeffs-out", str(sidecar)]) == 0
+    assert len(calls) == 2
+    row = max(read_rows(tmp_path / "majorant.csv"), key=lambda r: int(r["N"]))
+    lines = [l.split(",") for l in sidecar.read_text().splitlines()
+             if not l.startswith("#")]
+    assert len(lines) == int(row["set_size"])
+    A = [int(n) for n, _, _ in lines]
+    coeffs = [complex(float(re), float(im)) for _, re, im in lines]
+    base = lp_norm(TrigPoly(A, [1.0] * len(A)), 2.5, tol=1e-8).value
+    top = lp_norm(TrigPoly(A, coeffs), 2.5, tol=1e-8).value
+    assert max(top / base, 1.0) == pytest.approx(float(row["value"]), rel=1e-12)
+
+
 def test_prop2_subcommand(tmp_path):
     code = main(["prop2", "--levels", "10:12", "--trials", "3",
                  "--out", str(tmp_path), "--seed", "5"])
@@ -122,6 +153,36 @@ def test_exit_code_validation_error(tmp_path):
 def test_exit_code_capacity_error(tmp_path):
     code = main(["count", "--N-list", "1e12", "--out", str(tmp_path)])
     assert code == 3
+
+
+def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
+    # the quadrature cannot reach the tolerance under these grid caps
+    prop2 = ["prop2", "--levels", "10:10", "--trials", "2", "--grid-cap", "8192"]
+    majorant = ["majorant", "--N-list", "256", "--budget", "10",
+                "--grid-cap", "4096"]
+    for argv in (prop2, majorant):
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert "capacity/budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--N-list", "1e3,abc"],
+    ["--config", "/nonexistent/exp.ini", "count"],
+])
+def test_exit_code_bad_input(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("outside", [None, "8192"])
+def test_grid_cap_flag_applies_to_one_call(tmp_path, monkeypatch, outside):
+    if outside is None:
+        monkeypatch.delenv(trigpoly.GRID_CAP_ENV, raising=False)
+    else:
+        monkeypatch.setenv(trigpoly.GRID_CAP_ENV, outside)
+    before = trigpoly.grid_cap()
+    assert main(["thresholds", "--grid-cap", "4096", "--out", str(tmp_path)]) == 0
+    assert trigpoly.grid_cap() == before
 
 
 def test_exit_code_verify_failure(tmp_path, monkeypatch):

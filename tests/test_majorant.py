@@ -217,8 +217,9 @@ def test_uniformity_sweep_small():
     def build(N):
         return build_frac_set(SetSpec("frac_plus", h, h, N))
 
-    rows = uniformity_sweep(build, 2.5, [2**8, 2**9, 2**10],
-                            budget=400, seed=42)
+    rows, estimates = uniformity_sweep(build, 2.5, [2**8, 2**9, 2**10],
+                                       budget=400, seed=42)
+    assert [e.value for e in estimates] == [r.value for r in rows]
     assert len(rows) == 3
     running = [r.params["running_max"] for r in rows]
     assert running == sorted(running)
@@ -226,6 +227,6 @@ def test_uniformity_sweep_small():
         assert r.value >= 1 - 1e-9
         assert r.value <= r.reference  # below the a priori envelope
         assert math.isfinite(r.exponent)
-    again = uniformity_sweep(build, 2.5, [2**8, 2**9, 2**10],
-                             budget=400, seed=42)
+    again, _ = uniformity_sweep(build, 2.5, [2**8, 2**9, 2**10],
+                                budget=400, seed=42)
     assert [r.value for r in rows] == [r.value for r in again]

@@ -275,3 +275,31 @@ def test_kv_round_trip():
 def test_kv_parse_example():
     h = RegVaryFn.from_kv("family=log_power, B=1.0, c=1.0, x0=2")
     assert h.value(math.e) == pytest.approx(math.e, rel=1e-15)
+
+
+@pytest.mark.parametrize("name,make", FAMILIES)
+def test_value_longdouble_against_mpmath(name, make):
+    h = make()
+    rng = np.random.default_rng(20150501)
+    n = rng.integers(math.ceil(h.x0), 10**8, size=400, endpoint=True)
+    got = h.value_longdouble(n)
+    assert got.dtype == np.longdouble
+    ell = h.ell
+    worst = 0.0
+    with mpmath.workdps(40):
+        for k, v in zip(n.tolist(), got):
+            x = mpmath.mpf(k)
+            if ell.kind == "log_power":
+                e = mpmath.log(x) ** mpmath.mpf(ell.B)
+            elif ell.kind == "exp_log_power":
+                e = mpmath.exp(mpmath.mpf(ell.B) * mpmath.log(x) ** mpmath.mpf(ell.C))
+            elif ell.kind == "iterated_log":
+                e = x
+                for _ in range(ell.m):
+                    e = mpmath.log(e)
+            else:
+                e = mpmath.mpf(1)
+            exact = x ** mpmath.mpf(h.c) * e
+            num, den = v.as_integer_ratio()
+            worst = max(worst, float(abs(mpmath.mpf(num) / den / exact - 1)))
+    assert worst <= 4 * np.finfo(np.longdouble).eps
