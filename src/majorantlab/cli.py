@@ -403,16 +403,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the keys of [h1]/[h2], as RegVaryFn.from_kv reads them: case matters
+# there (B and C are parameters of ell, c is the exponent)
+_H_KEYS = ("family", "c", "B", "C", "m", "x0")
+
+
 def _config_from_file(path: str) -> dict:
     cp = configparser.ConfigParser()
+    cp.optionxform = str
     with open(path) as fh:
         cp.read_file(fh)
     out: dict = {"h1": {}, "h2": {}}
     for section in cp.sections():
+        items = dict(cp.items(section))
         if section in ("h1", "h2"):
-            out[section].update(dict(cp.items(section)))
+            unknown = sorted(set(items) - set(_H_KEYS))
+            if unknown:
+                raise ValueError(f"unknown key(s) {', '.join(unknown)} in "
+                                 f"[{section}]; known: {', '.join(_H_KEYS)}")
+            out[section].update(items)
         else:
-            out.update(dict(cp.items(section)))
+            lowered = {k.lower(): v for k, v in items.items()}
+            if len(lowered) < len(items):
+                raise ValueError(f"a key is given twice in [{section}]")
+            out.update(lowered)
     return out
 
 

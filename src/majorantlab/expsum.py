@@ -251,11 +251,9 @@ def vdc_ratio_sweep(phi1: InverseFn, psi: PsiFn, m_max: int, xi_list,
     n_hi = levels[-1]
     sums = np.zeros((len(l_values), m_max, len(xi_arr), len(levels)),
                     dtype=np.complex128)
-    bounds = np.empty((len(l_values), m_max, len(levels)))
-    for il, l in enumerate(l_values):
-        for im in range(m_max):
-            for iN, N in enumerate(levels):
-                bounds[il, im, iN] = lemma1_bound(im + 1, float(N), phi1)
+    # lemma1_bound(m, N) = sqrt(m) lemma1_bound(1, N): one bound per level
+    bounds = np.sqrt(np.arange(1, m_max + 1))[:, None] * np.array(
+        [lemma1_bound(1, float(N), phi1) for N in levels])
     a = n_lo
     while a <= n_hi:
         b = min(a + _CHUNK - 1, n_hi)
@@ -287,7 +285,7 @@ def vdc_ratio_sweep(phi1: InverseFn, psi: PsiFn, m_max: int, xi_list,
             for ix, xi in enumerate(xi_arr):
                 for iN, N in enumerate(levels):
                     val = abs(sums[il, im, ix, iN])
-                    bd = bounds[il, im, iN]
+                    bd = bounds[im, iN]
                     rows.append(SweepResult(
                         experiment=experiment, quantity="vdc_ratio",
                         value=val, reference=bd, ratio=val / bd,

@@ -16,9 +16,12 @@ from the exp-chain rule: with u = theta/x (the log-derivative of ell),
     ell'''/ell = u'' + 3 u u' + u^3
 
 and likewise for h with u replaced by v = (c + theta)/x.  Inverses are
-computed with a safeguarded Newton iteration; an extended-precision
-residual correction yields head/tail value pairs accurate enough to take
-fractional parts of phi(n) for n up to ~1e8.
+computed with a safeguarded Newton iteration that freezes each point at
+its first iterate within tolerance, so a point's result does not depend
+on the array it is solved in; an extended-precision residual correction
+yields head/tail value pairs accurate enough to take fractional parts of
+phi(n) for n up to ~1e8.  The difference window psi(n) = phi(n+1) - phi(n)
+on a run of consecutive n takes one solve over the run and its successor.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ class RegVaryFn:
     instance is increasing and convex by construction.  With c == 1 the
     slowly varying factor must be one of the unbounded kinds; pass
     check=False to build degenerate objects (e.g. the identity) for
-    calibration purposes.
+    calibration purposes.  Instances with equal c, ell and x0 are equal.
     """
 
     def __init__(self, c: float, ell: SlowlyVaryingSpec, x0: float | None = None,
@@ -319,6 +322,14 @@ class RegVaryFn:
         return cls(float(kv.get("c", 1.0)), ell,
                    x0=float(kv["x0"]) if "x0" in kv else None, check=check)
 
+    def __eq__(self, other):
+        if not isinstance(other, RegVaryFn):
+            return NotImplemented
+        return (self.c, self.ell, self.x0) == (other.c, other.ell, other.x0)
+
+    def __hash__(self):
+        return hash((self.c, self.ell, self.x0))
+
     def __repr__(self):
         return f"RegVaryFn({self.to_kv()})"
 
@@ -339,7 +350,9 @@ class InverseFn:
 
         Safeguarded Newton: iterates leaving the current bracket are
         replaced by its geometric midpoint; h monotone makes this always
-        terminate.  Deterministic.
+        terminate.  Each point stops at its first iterate within the
+        tolerance, so its result depends on its own y only, never on the
+        other points of the array.  Deterministic.
         """
         y, scalar = _as_array(y)
         self._check(y)
@@ -349,32 +362,55 @@ class InverseFn:
     __call__ = invert
 
     def _newton(self, y):
+        """The root of h(x) = y for every element of y, to the tolerance
+        of `invert`, in at most 60 Newton steps.
+
+        Only unconverged points are iterated: a point is frozen at its
+        first iterate within the tolerance.  Iterating it further would
+        throw it off the root, since a converged point with h(x) <= y
+        becomes the bracket's lower end and the next Newton step, landing
+        on it, is replaced by the bracket's geometric midpoint.
+        """
         h = self.source
-        lo = np.full_like(y, h.x0)
-        hi = np.maximum(2 * h.x0, np.asarray(y, dtype=np.float64).copy())
-        for _ in range(200):
-            bad = h._deriv_raw(hi, 0) < y
-            if not bad.any():
+        shape = np.shape(y)
+        y = np.ravel(y)
+        hi = np.maximum(2 * h.x0, y)
+        bad = np.flatnonzero(h._deriv_raw(hi, 0) < y)
+        for _ in range(199):
+            if not bad.size:
                 break
-            hi = np.where(bad, hi * 2, hi)
-        else:
+            hi[bad] *= 2
+            bad = bad[h._deriv_raw(hi[bad], 0) < y[bad]]
+        if bad.size:
             raise ConvergenceError("could not bracket the inverse")
-        tol = np.maximum(1e-14 * y, 1e-14)
+        lo = np.full_like(y, h.x0)
         x = np.sqrt(lo * hi)
-        for _ in range(60):
-            fx = h._deriv_raw(x, 0) - y
-            if np.all(np.abs(fx) <= tol):
-                return x
+        # xa, ya, lo, hi hold the unconverged points, at x[act] once
+        # some have converged (act is None while none has)
+        xa, ya, act = x, y, None
+        for step in range(61):
+            fx = h._deriv_raw(xa, 0) - ya
+            done = np.abs(fx) <= np.maximum(1e-14 * ya, 1e-14)
+            if act is None:
+                x = xa
+            else:
+                x[act[done]] = xa[done]
+            if done.all():
+                return x.reshape(shape)
+            if step == 60:
+                raise ConvergenceError("inverse iteration stalled",
+                                       last=x.reshape(shape), previous=fx)
+            if done.any():
+                keep = ~done
+                act = np.flatnonzero(keep) if act is None else act[keep]
+                xa, ya, lo, hi, fx = xa[keep], ya[keep], lo[keep], hi[keep], fx[keep]
             above = fx > 0
-            hi = np.where(above, x, hi)
-            lo = np.where(above, lo, x)
-            xn = x - fx / h._deriv_raw(x, 1)
+            np.copyto(hi, xa, where=above)
+            np.copyto(lo, xa, where=~above)
+            xn = xa - fx / h._deriv_raw(xa, 1)
             outside = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-            x = np.where(outside, np.sqrt(lo * hi), xn)
-        fx = h._deriv_raw(x, 0) - y
-        if np.all(np.abs(fx) <= tol):
-            return x
-        raise ConvergenceError("inverse iteration stalled", last=x, previous=fx)
+            np.copyto(xn, np.sqrt(lo * hi), where=outside)
+            xa = xn
 
     def pair(self, y):
         """phi(y) as a head/tail pair of doubles.
@@ -446,11 +482,18 @@ class PsiFn:
     def _raw(self, x, order=0):
         if self.mode == "derivative":
             return self.phi2.deriv(x, order + 1)
-        if order == 0:
-            h0, t0 = self.phi2.pair(x)
-            h1, t1 = self.phi2.pair(x + 1.0)
-            return (h1 - h0) + (t1 - t0)
-        return self.phi2.deriv(x + 1.0, order) - self.phi2.deriv(x, order)
+        if order:
+            return self.phi2.deriv(x + 1.0, order) - self.phi2.deriv(x, order)
+        n = np.ravel(x)
+        if n.size and np.array_equal(n[:-1] + 1.0, n[1:]):
+            # a run of consecutive values: one solve over the run and its
+            # successor; every point's solve is independent of the others,
+            # so this equals pair(x + 1) - pair(x) bit for bit
+            heads, tails = self.phi2.pair(np.append(n, n[-1] + 1.0))
+            h0, t0, h1, t1 = heads[:-1], tails[:-1], heads[1:], tails[1:]
+        else:
+            (h0, t0), (h1, t1) = self.phi2.pair(n), self.phi2.pair(n + 1.0)
+        return ((h1 - h0) + (t1 - t0)).reshape(np.shape(x))
 
     def _find_n_min(self) -> int:
         n = max(2, math.ceil(self.phi2.y0 - 1e-9))

@@ -255,17 +255,6 @@ def build_floor_set(h: RegVaryFn, N: int, cap: int = DEFAULT_CAP,
                      phi1=phi, psi=None)
 
 
-def _psi_values_f64(psi: PsiFn, n: np.ndarray, pairs_next=None, pairs_here=None):
-    if psi.mode == "derivative":
-        return psi.phi2.deriv(n, 1)
-    if pairs_here is None:
-        pairs_here = psi.phi2.pair(n)
-    if pairs_next is None:
-        pairs_next = psi.phi2.pair(n + 1.0)
-    (h0, t0), (h1, t1) = pairs_here, pairs_next
-    return (h1 - h0) + (t1 - t0)
-
-
 def build_frac_set(spec: SetSpec, guard: float = DEFAULT_GUARD,
                    cap: int = DEFAULT_CAP) -> SparseSet:
     """Scan [n_min, N] with member_frac; deterministic, chunked."""
@@ -273,7 +262,7 @@ def build_frac_set(spec: SetSpec, guard: float = DEFAULT_GUARD,
         raise ValueError("build_frac_set needs a frac_plus or frac_minus spec")
     sign = 1 if spec.kind == "frac_plus" else -1
     phi1 = InverseFn(spec.h1)
-    phi2 = phi1 if spec.h2 is spec.h1 else InverseFn(spec.h2)
+    phi2 = phi1 if spec.h2 == spec.h1 else InverseFn(spec.h2)
     psi = PsiFn(phi2, mode=spec.psi_mode)
     n_min = max(psi.n_min, math.ceil(phi1.y0 - 1e-9))
     N = spec.N
@@ -292,7 +281,7 @@ def build_frac_set(spec: SetSpec, guard: float = DEFAULT_GUARD,
             psv = (heads[1:] - heads[:-1]) + (tails[1:] - tails[:-1])
         else:
             head, tail = phi1.pair(n)
-            psv = _psi_values_f64(psi, n)
+            psv = psi(n)
         frac = frac_pair(head, tail, sign=sign)
         margin = psv - frac
         mask = margin > 0

@@ -1,9 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from majorantlab import TrigPoly, expsum, load_set, lp_norm, trigpoly
+from majorantlab import InverseFn, TrigPoly, expsum, load_set, lp_norm, trigpoly
 from majorantlab.cli import main
 from majorantlab.verify import (
     VerifyReport,
@@ -237,6 +238,49 @@ def test_config_echo_and_file(tmp_path):
                  "--out", str(tmp_path)])
     rows = read_rows(tmp_path / "count.csv")
     assert [int(r["N"]) for r in rows] == [500]
+
+
+def test_config_h_keys_keep_their_case(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[h1]\nfamily = log_power\nB = 3.0\nc = 1.0\n"
+        "[h2]\nfamily = exp_log_power\nC = 0.3\n"
+        "[Params]\nN_List = 1000\nSEED = 21\n")
+    assert main(["--config", str(cfg), "count", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "count.csv").read_text()
+    assert "# h1 = B=3.0, c=1.0, family=log_power" in text
+    assert "# seed = 21" in text
+    row = read_rows(tmp_path / "count.csv")[0]
+    assert row["N"] == "1000"
+    assert row["h1"] == "family=log_power, B=3, c=1, x0=2"
+    assert row["h2"].startswith("family=exp_log_power, B=1, C=0.3, c=1,")
+
+
+@pytest.mark.parametrize("text,word", [
+    ("[h1]\nfamily = log_power\nb = 3.0\n", "key(s) b in [h1]"),
+    ("[params]\nseed = 1\nSEED = 2\n", "twice"),
+])
+def test_config_bad_keys_are_invalid(tmp_path, capsys, text, word):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "count", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "invalid parameters" in err and word in err
+
+
+def test_count_solves_each_index_once(tmp_path, monkeypatch):
+    points = []
+    pair = InverseFn.pair
+
+    def counting(phi, y):
+        points.append(np.size(y))
+        return pair(phi, y)
+
+    monkeypatch.setattr(InverseFn, "pair", counting)
+    assert main(["count", "--kind", "frac_plus", "--N-list", "2e4",
+                 "--out", str(tmp_path)]) == 0
+    assert sum(points) <= 1.05 * 2e4
 
 
 def test_jsonl_mirror_matches_csv(tmp_path):

@@ -263,6 +263,16 @@ def test_vdc_ratio_sweep_matches_direct():
         assert r.value == pytest.approx(abs(direct), rel=1e-9, abs=1e-9)
 
 
+def test_vdc_ratio_sweep_bounds_are_lemma1():
+    phi = InverseFn(xlogx())
+    psi = PsiFn(phi)
+    rows = vdc_ratio_sweep(phi, psi, m_max=7, xi_list=[0.25],
+                           levels=[2**10, 2**13])
+    for r in rows:
+        want = lemma1_bound(r.params["m"], float(r.params["N"]), phi)
+        assert abs(r.reference - want) <= 4 * np.finfo(float).eps * want
+
+
 # ------------------------------------------------- sawtooth decomposition
 
 

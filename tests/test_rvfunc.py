@@ -303,3 +303,87 @@ def test_value_longdouble_against_mpmath(name, make):
             num, den = v.as_integer_ratio()
             worst = max(worst, float(abs(mpmath.mpf(num) / den / exact - 1)))
     assert worst <= 4 * np.finfo(np.longdouble).eps
+
+
+# ------------------------------------------------- Newton solve, per point
+
+# one family of each slowly varying kind
+KINDS = [f for f in FAMILIES if f[0] in ("xlogx", "exp_log_pow", "iterlog2", "x15")]
+
+
+def _run(phi):
+    return np.arange(max(8.0, math.ceil(phi.y0)), 2e5)
+
+
+@pytest.mark.parametrize("name,make", KINDS)
+def test_newton_h_evaluations_per_point(name, make, monkeypatch):
+    phi = InverseFn(make())
+    y = _run(phi)
+    evals = []
+    raw = RegVaryFn._deriv_raw
+
+    def counting(h, x, order):
+        if order in (0, 1):
+            evals.append(np.size(x))
+        return raw(h, x, order)
+
+    monkeypatch.setattr(RegVaryFn, "_deriv_raw", counting)
+    phi.invert(y)
+    assert sum(evals) / y.size <= 16
+
+
+@pytest.mark.parametrize("name,make", KINDS)
+def test_pair_does_not_depend_on_the_chunk(name, make):
+    phi = InverseFn(make())
+    y = _run(phi)
+    k = 5000
+    head, tail = phi.pair(y)
+    head_k, tail_k = phi.pair(y[k:])
+    assert np.array_equal(head[k:], head_k)
+    assert np.array_equal(tail[k:], tail_k)
+    for i in (0, k, len(y) - 1):
+        assert phi.pair(float(y[i])) == (head[i], tail[i])
+
+
+def test_psi_run_equals_pair_difference_bitwise():
+    phi = InverseFn(xlogx())
+    psi = PsiFn(phi)
+    for x in (float(psi.n_min), 12345.0, 1e8 + 0.5):
+        h0, t0 = phi.pair(np.array([x]))
+        h1, t1 = phi.pair(np.array([x + 1.0]))
+        assert np.array_equal(psi.value(np.array([x])), (h1 - h0) + (t1 - t0))
+    # a run and the same points out of order (two solves) agree bit for bit
+    n = np.arange(float(psi.n_min), 5e4)
+    assert np.array_equal(psi.value(n)[::-1], psi.value(n[::-1]))
+
+
+def _mp_h(h, x):
+    """h(x) in mpmath at the working precision."""
+    ell = h.ell
+    if ell.kind == "log_power":
+        e = mpmath.log(x) ** mpmath.mpf(ell.B)
+    elif ell.kind == "exp_log_power":
+        e = mpmath.exp(mpmath.mpf(ell.B) * mpmath.log(x) ** mpmath.mpf(ell.C))
+    elif ell.kind == "iterated_log":
+        e = x
+        for _ in range(ell.m):
+            e = mpmath.log(e)
+    else:
+        e = mpmath.mpf(1)
+    return x ** mpmath.mpf(h.c) * e
+
+
+@pytest.mark.parametrize("name,make", KINDS)
+def test_pair_matches_high_precision_root_every_kind(name, make):
+    h = make()
+    phi = InverseFn(h)
+    rng = np.random.default_rng(20150502)
+    ys = np.exp(rng.uniform(math.log(phi.y0 + 1.0), math.log(1e8), 64))
+    head, tail = phi.pair(ys)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for y, hd, tl in zip(ys.tolist(), head.tolist(), tail.tolist()):
+            root = mpmath.findroot(lambda x: _mp_h(h, x) - y, mpmath.mpf(hd))
+            err = abs((mpmath.mpf(hd) + mpmath.mpf(tl)) - root)
+            worst = max(worst, float(err / y))
+    assert worst < 1e-18

@@ -165,6 +165,22 @@ def test_sparsity_decreases():
     assert d6 < d3
 
 
+@pytest.mark.parametrize("kind", ["frac_plus", "frac_minus"])
+def test_window_shared_by_value_equals_separate_solves(kind, monkeypatch):
+    h = xlogx()
+    N = 3 * 10**4
+    same = build_frac_set(SetSpec(kind, h, h, N))
+    equal = build_frac_set(SetSpec(kind, h, xlogx(), N))
+    assert equal.psi.phi2 is equal.phi1
+    # identity-only equality sends h2 down its own solves
+    monkeypatch.setattr(RegVaryFn, "__eq__", object.__eq__)
+    separate = build_frac_set(SetSpec(kind, h, xlogx(), N))
+    assert separate.psi.phi2 is not separate.phi1
+    for other in (equal, separate):
+        assert np.array_equal(other.members, same.members)
+        assert other.borderline_count == same.borderline_count
+
+
 def test_borderline_fraction_small():
     h = xlogx()
     s = build_frac_set(SetSpec("frac_plus", h, h, 10**5))
