@@ -431,7 +431,10 @@ def _config_from_file(path: str) -> dict:
 
 
 def _parse_n_list(text: str) -> list:
-    return [int(float(v)) for v in text.split(",") if v.strip()]
+    try:
+        return [int(float(v)) for v in text.split(",") if v.strip()]
+    except OverflowError:
+        raise ValueError(f"N-list {text!r} holds an infinite value") from None
 
 
 # config-file key -> parser of its value; a flag given for the same key

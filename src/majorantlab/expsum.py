@@ -34,12 +34,11 @@ from .compensated import (
     wrap_unit,
 )
 from .errors import CapacityError
-from .rvfunc import InverseFn, PsiFn
+from .rvfunc import CHUNK, InverseFn, PsiFn, index_chunks, pairs_and_window
 from .sparseset import SparseSet
 from .sweeps import SweepResult
 
 _TWO_PI = 2.0 * math.pi
-_CHUNK = 1 << 19
 DEFAULT_WORK_BUDGET = 1 << 28
 
 WEIGHTS = ("unit", "psi", "psi_inverse")
@@ -76,8 +75,8 @@ def exp_sum(req: ExpSumRequest) -> complex:
     """sum over the set of weight(n) * e(xi n), chunked pairwise."""
     total = 0.0 + 0.0j
     members = req.set.members
-    for a in range(0, len(members), _CHUNK):
-        n = members[a:a + _CHUNK].astype(np.float64)
+    for a in range(0, len(members), CHUNK):
+        n = members[a:a + CHUNK].astype(np.float64)
         total += np.sum(_weights_for(req, n) * e1(frac_product(req.xi, n)))
     return complex(total)
 
@@ -95,13 +94,9 @@ def model_sum(N: int, xi: float, weight: str = "unit",
     if N < psi.n_min:
         raise ValueError("N below the window's n_min")
     total = 0.0 + 0.0j
-    a = psi.n_min
-    while a <= N:
-        b = min(a + _CHUNK - 1, N)
-        n = np.arange(a, b + 1, dtype=np.float64)
+    for n in index_chunks(psi.n_min, N):
         total += np.sum(np.asarray(psi(n), dtype=np.float64)
                         * e1(frac_product(xi, n)))
-        a = b + 1
     return complex(total)
 
 
@@ -194,21 +189,16 @@ def vdc_sum(m: int, l: int, xi: float, X: float, X2: float,
         raise ValueError("l must be 0 or 1")
     if l == 1 and psi is None:
         raise ValueError("l = 1 needs the window object")
-    lo = math.ceil(X)
-    hi = math.floor(X2)
     total = 0.0 + 0.0j
-    a = lo
-    while a <= hi:
-        b = min(a + _CHUNK - 1, hi)
-        n = np.arange(a, b + 1, dtype=np.float64)
-        head, tail = phi1.pair(n)
-        f = frac_int_times_pair(m, head, tail)
+    for n in index_chunks(math.ceil(X), math.floor(X2)):
         if l:
-            f = wrap_unit(f - wrap_unit(m * np.asarray(psi(n), dtype=np.float64)
-                                        % 1.0))
+            head, tail, psv = pairs_and_window(n, phi1, psi)
+            f = wrap_unit(frac_int_times_pair(m, head, tail)
+                          - wrap_unit(m * psv % 1.0))
+        else:
+            f = frac_int_times_pair(m, *phi1.pair(n))
         f = wrap_unit(f + frac_product(xi, n))
         total += np.sum(e1(f))
-        a = b + 1
     return complex(total)
 
 
@@ -247,20 +237,15 @@ def vdc_ratio_sweep(phi1: InverseFn, psi: PsiFn, m_max: int, xi_list,
     """
     levels = sorted(int(N) for N in levels)
     xi_arr = np.asarray(list(xi_list), dtype=np.float64)
-    n_lo = psi.n_min
-    n_hi = levels[-1]
     sums = np.zeros((len(l_values), m_max, len(xi_arr), len(levels)),
                     dtype=np.complex128)
     # lemma1_bound(m, N) = sqrt(m) lemma1_bound(1, N): one bound per level
     bounds = np.sqrt(np.arange(1, m_max + 1))[:, None] * np.array(
         [lemma1_bound(1, float(N), phi1) for N in levels])
-    a = n_lo
-    while a <= n_hi:
-        b = min(a + _CHUNK - 1, n_hi)
-        n = np.arange(a, b + 1, dtype=np.float64)
-        head, tail = phi1.pair(n)
+    for n in index_chunks(psi.n_min, levels[-1]):
+        a, b = int(n[0]), int(n[-1])
+        head, tail, psv = pairs_and_window(n, phi1, psi)
         fphi = frac_pair(head, tail)
-        psv = np.asarray(psi(n), dtype=np.float64)
         E = e1(frac_product(xi_arr[None, :], n[:, None]))
         # accumulate into every level that contains this chunk entirely,
         # splitting chunks at level boundaries
@@ -278,7 +263,6 @@ def vdc_ratio_sweep(phi1: InverseFn, psi: PsiFn, m_max: int, xi_list,
                     sums[il, im, :, touched:] += part[:, None]
                 if im + 1 < m_max:
                     cur = cur * u
-        a = b + 1
     rows = []
     for il, l in enumerate(l_values):
         for im in range(m_max):
@@ -321,21 +305,15 @@ def decompose_I(bset: SparseSet, xi: float, M: int, N: int | None = None,
     if M < 1:
         raise ValueError("M must be >= 1")
     N = bset.spec.N if N is None else N
-    phi1, psi = bset.phi1, bset.psi
-    n_lo = bset.n_min
-    count = max(N - n_lo + 1, 0)
+    count = max(N - bset.n_min + 1, 0)
     if M * count > budget:
         raise CapacityError(f"I1 needs {M * count} phase terms, budget {budget}")
     I1 = 0.0 + 0.0j
     I2 = 0.0
     I3 = 0.0
-    a = n_lo
-    while a <= N:
-        b = min(a + _CHUNK - 1, N)
-        n = np.arange(a, b + 1, dtype=np.float64)
-        head, tail = phi1.pair(n)
+    for n in index_chunks(bset.n_min, N):
+        head, tail, psv = pairs_and_window(n, bset.phi1, bset.psi)
         fphi = frac_pair(head, tail)
-        psv = np.asarray(psi(n), dtype=np.float64)
         with np.errstate(divide="ignore"):
             d2 = nearest_int_distance(wrap_unit(fphi - psv))
             I2 += float(np.sum(np.minimum(1.0, 1.0 / (M * d2))))
@@ -352,5 +330,4 @@ def decompose_I(bset: SparseSet, xi: float, M: int, N: int | None = None,
             if m < M:
                 zm = zm * z
                 wm = wm * w
-        a = b + 1
     return complex(I1), float(I2), float(I3)

@@ -21,7 +21,9 @@ its first iterate within tolerance, so a point's result does not depend
 on the array it is solved in; an extended-precision residual correction
 yields head/tail value pairs accurate enough to take fractional parts of
 phi(n) for n up to ~1e8.  The difference window psi(n) = phi(n+1) - phi(n)
-on a run of consecutive n takes one solve over the run and its successor.
+on a run of consecutive n takes one solve over the run and its successor,
+and `pairs_and_window` hands out phi1's pairs from that solve when psi is
+phi1's own window.  Scans over an index range walk `index_chunks`.
 """
 
 from __future__ import annotations
@@ -484,16 +486,7 @@ class PsiFn:
             return self.phi2.deriv(x, order + 1)
         if order:
             return self.phi2.deriv(x + 1.0, order) - self.phi2.deriv(x, order)
-        n = np.ravel(x)
-        if n.size and np.array_equal(n[:-1] + 1.0, n[1:]):
-            # a run of consecutive values: one solve over the run and its
-            # successor; every point's solve is independent of the others,
-            # so this equals pair(x + 1) - pair(x) bit for bit
-            heads, tails = self.phi2.pair(np.append(n, n[-1] + 1.0))
-            h0, t0, h1, t1 = heads[:-1], tails[:-1], heads[1:], tails[1:]
-        else:
-            (h0, t0), (h1, t1) = self.phi2.pair(n), self.phi2.pair(n + 1.0)
-        return ((h1 - h0) + (t1 - t0)).reshape(np.shape(x))
+        return _pairs_and_steps(self.phi2, x)[2]
 
     def _find_n_min(self) -> int:
         n = max(2, math.ceil(self.phi2.y0 - 1e-9))
@@ -525,3 +518,45 @@ class PsiFn:
         return _ret(self._raw(x, order), scalar)
 
     __call__ = value
+
+
+def _pairs_and_steps(phi: InverseFn, n):
+    """phi's pairs at n and the steps phi(n + 1) - phi(n), shaped as n: one
+    solve of a run and its successor, else two, which agree bit for bit
+    because each point's solve is independent of the others."""
+    shape = np.shape(n)
+    n = np.ravel(n)
+    if n.size and np.array_equal(n[:-1] + 1.0, n[1:]):
+        heads, tails = phi.pair(np.append(n, n[-1] + 1.0))
+        h0, t0, h1, t1 = heads[:-1], tails[:-1], heads[1:], tails[1:]
+    else:
+        (h0, t0), (h1, t1) = phi.pair(n), phi.pair(n + 1.0)
+    return (h0.reshape(shape), t0.reshape(shape),
+            ((h1 - h0) + (t1 - t0)).reshape(shape))
+
+
+def pairs_and_window(n, phi1: InverseFn, psi):
+    """phi1's head/tail pairs and the window psi at the indices n.
+
+    When psi is phi1's own difference window (equal by value), the pairs
+    come out of psi's solve, one of L + 1 points for a run of L; any other
+    window (another h2, derivative mode, a stub) is evaluated separately.
+    """
+    if (isinstance(psi, PsiFn) and psi.mode == "difference"
+            and psi.phi2.source == phi1.source):
+        n = np.asarray(n, dtype=np.float64)
+        if np.any(n < psi.n_min):
+            raise DomainError(f"x below n_min = {psi.n_min}")
+        return _pairs_and_steps(psi.phi2, n)
+    head, tail = phi1.pair(n)
+    return head, tail, np.asarray(psi(n), dtype=np.float64)
+
+
+# length of every index scan's chunks; chunked sums' last bits depend on it
+CHUNK = 1 << 19
+
+
+def index_chunks(lo: int, hi: int):
+    """lo..hi in order, as float64 runs of CHUNK integers (the last shorter)."""
+    for a in range(lo, hi + 1, CHUNK):
+        yield np.arange(a, min(a + CHUNK, hi + 1), dtype=np.float64)

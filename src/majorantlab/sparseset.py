@@ -12,10 +12,12 @@ independent code paths precisely so that identity can be checked.
 
 Membership compares the fractional part of +-phi1(n) against psi(n).
 Since the integer part of phi1(n) eats most of the double mantissa at
-large n, phi1 is evaluated as a head/tail pair (see rvfunc.InverseFn.pair)
-and the fractional part is taken on the pair.  Margins closer to zero
-than a guard band (default 1e-9) are counted as borderline and reported;
-the membership bit then follows the sign of the compensated margin.
+large n, phi1 is evaluated as a head/tail pair, which
+rvfunc.pairs_and_window returns with psi(n) (one solve per index when
+h2 equals h1), and the fractional part is taken on the pair.  Margins
+closer to zero than a guard band (default 1e-9) are counted as
+borderline and reported; the membership bit then follows the sign of
+the compensated margin.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ import numpy as np
 
 from .compensated import frac_pair
 from .errors import CapacityError
-from .rvfunc import InverseFn, PsiFn, RegVaryFn
+from .rvfunc import InverseFn, PsiFn, RegVaryFn, index_chunks, pairs_and_window
 from .sweeps import StopWatch, SweepResult, fit_loglog_slope
 
 DEFAULT_GUARD = 1e-9
 DEFAULT_CAP = 1 << 28
-_CHUNK = 1 << 20
 
 KINDS = ("floor_image", "frac_plus", "frac_minus")
 
@@ -179,12 +180,10 @@ def member_frac(n, phi1: InverseFn, psi, sign: str = "plus", guard: float = DEFA
     membership is margin > 0.  Works on scalars and arrays.  The caller
     treats |margin| < guard as borderline.
     """
-    s = 1 if sign == "plus" else -1
-    n_arr = np.asarray(n, dtype=np.float64)
-    head, tail = phi1.pair(n_arr)
-    frac = frac_pair(head, tail, sign=s)
-    margin = np.asarray(psi(n_arr), dtype=np.float64) - frac
-    member = frac < np.asarray(psi(n_arr), dtype=np.float64)
+    head, tail, psv = pairs_and_window(n, phi1, psi)
+    frac = frac_pair(head, tail, sign=1 if sign == "plus" else -1)
+    margin = psv - frac
+    member = frac < psv
     if np.ndim(n) == 0:
         return bool(member), float(margin)
     return member, margin
@@ -196,9 +195,7 @@ def member_floor_characterization(n, phi1: InverseFn, psi):
     Independent route to the same membership bit as member_frac(.., plus);
     exercised against it exhaustively in the tests.
     """
-    n_arr = np.asarray(n, dtype=np.float64)
-    head, tail = phi1.pair(n_arr)
-    psv = np.asarray(psi(n_arr), dtype=np.float64)
+    head, tail, psv = pairs_and_window(n, phi1, psi)
     base = np.floor(head)
     r = (head - base) + tail
     f_phi = base + np.floor(r)         # floor(phi1(n))
@@ -228,22 +225,21 @@ def build_floor_set(h: RegVaryFn, N: int, cap: int = DEFAULT_CAP,
     else:
         n_end = int(math.floor(phi.invert(float(N + 1))))
         ld = np.longdouble
-        while n_end >= n_start and h.value_longdouble(ld(n_end)) >= ld(N + 1):
-            n_end -= 1
-        while h.value_longdouble(ld(n_end + 1)) < ld(N + 1):
-            n_end += 1
+        # longdouble cannot step n_end by one far past any cap
+        if n_end - n_start <= cap:
+            while n_end >= n_start and h.value_longdouble(ld(n_end)) >= ld(N + 1):
+                n_end -= 1
+            while h.value_longdouble(ld(n_end + 1)) < ld(N + 1):
+                n_end += 1
     count = n_end - n_start + 1
     if count > cap:
         raise CapacityError(
             f"floor set build needs {count} evaluations, cap is {cap}")
     spec = SetSpec("floor_image", h, h, N)
-    if count <= 0:
-        return SparseSet(spec, np.empty(0, dtype=np.int64), n_min=1, phi1=phi)
     borderline = 0
-    out = []
-    for a in range(n_start, n_end + 1, _CHUNK):
-        b = min(a + _CHUNK - 1, n_end)
-        vals = h.value_longdouble(np.arange(a, b + 1, dtype=np.longdouble))
+    out = [np.empty(0, dtype=np.int64)]
+    for n in index_chunks(n_start, n_end):
+        vals = h.value_longdouble(n)
         floors = np.floor(vals)
         fr = np.asarray(vals - floors, dtype=np.float64)
         borderline += int(np.count_nonzero((fr < guard) | (fr > 1 - guard)))
@@ -268,29 +264,15 @@ def build_frac_set(spec: SetSpec, guard: float = DEFAULT_GUARD,
     N = spec.N
     if N - n_min + 1 > cap:
         raise CapacityError(f"frac set scan of {N - n_min + 1} exceeds cap {cap}")
-    shared = phi2 is phi1 and spec.psi_mode == "difference"
-    members = []
+    members = [np.empty(0, dtype=np.int64)]
     borderline = 0
-    a = n_min
-    while a <= N:
-        b = min(a + _CHUNK - 1, N)
-        n = np.arange(a, b + 1, dtype=np.float64)
-        if shared:
-            heads, tails = phi1.pair(np.arange(a, b + 2, dtype=np.float64))
-            head, tail = heads[:-1], tails[:-1]
-            psv = (heads[1:] - heads[:-1]) + (tails[1:] - tails[:-1])
-        else:
-            head, tail = phi1.pair(n)
-            psv = psi(n)
-        frac = frac_pair(head, tail, sign=sign)
-        margin = psv - frac
-        mask = margin > 0
+    for n in index_chunks(n_min, N):
+        head, tail, psv = pairs_and_window(n, phi1, psi)
+        margin = psv - frac_pair(head, tail, sign=sign)
         borderline += int(np.count_nonzero(np.abs(margin) < guard))
-        members.append(np.asarray(n[mask], dtype=np.int64))
-        a = b + 1
-    return SparseSet(spec, np.concatenate(members) if members else
-                     np.empty(0, dtype=np.int64),
-                     n_min=n_min, borderline_count=borderline, phi1=phi1, psi=psi)
+        members.append(np.asarray(n[margin > 0], dtype=np.int64))
+    return SparseSet(spec, np.concatenate(members), n_min=n_min,
+                     borderline_count=borderline, phi1=phi1, psi=psi)
 
 
 def build_set(spec: SetSpec, **kw) -> SparseSet:

@@ -151,9 +151,13 @@ def test_exit_code_validation_error(tmp_path):
     assert code == 2
 
 
-def test_exit_code_capacity_error(tmp_path):
-    code = main(["count", "--N-list", "1e12", "--out", str(tmp_path)])
-    assert code == 3
+@pytest.mark.parametrize("argv", [
+    ["count", "--N-list", "1e12"],
+    # beyond ~2^64 longdouble cannot step the floor-set endpoint by one
+    ["count", "--kind", "floor_image", "--N-list", "1e30"],
+])
+def test_exit_code_capacity_error(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 3
 
 
 def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
@@ -169,10 +173,12 @@ def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["count", "--N-list", "1e3,abc"],
     ["--config", "/nonexistent/exp.ini", "count"],
+    ["count", "--N-list", "1e400"],
 ])
 def test_exit_code_bad_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
-    assert "invalid parameters" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid parameters" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("outside", [None, "8192"])
@@ -269,7 +275,11 @@ def test_config_bad_keys_are_invalid(tmp_path, capsys, text, word):
     assert "invalid parameters" in err and word in err
 
 
-def test_count_solves_each_index_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv, N", [
+    (["count", "--kind", "frac_plus", "--N-list", "2e4"], 2e4),
+    (["vdc", "--xi-rule", "0.3", "--levels", "12:14", "--m-max", "2"], 2**14),
+], ids=["count", "vdc"])
+def test_count_solves_each_index_once(tmp_path, monkeypatch, argv, N):
     points = []
     pair = InverseFn.pair
 
@@ -278,9 +288,8 @@ def test_count_solves_each_index_once(tmp_path, monkeypatch):
         return pair(phi, y)
 
     monkeypatch.setattr(InverseFn, "pair", counting)
-    assert main(["count", "--kind", "frac_plus", "--N-list", "2e4",
-                 "--out", str(tmp_path)]) == 0
-    assert sum(points) <= 1.05 * 2e4
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert sum(points) <= 1.05 * N
 
 
 def test_jsonl_mirror_matches_csv(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,14 @@ from majorantlab.expsum import (
     weighted_inverse_vs_dirichlet,
 )
 from majorantlab.compensated import frac_product
-from majorantlab.sparseset import SetSpec, SparseSet, build_floor_set, build_frac_set
+from majorantlab.sparseset import (
+    SetSpec,
+    SparseSet,
+    build_floor_set,
+    build_frac_set,
+    member_floor_characterization,
+    member_frac,
+)
 from majorantlab.sweeps import fit_loglog_slope, golden_xis
 
 
@@ -308,3 +316,33 @@ def test_recipe_M_keeps_combined_error_small():
     combined = abs(I1) + I2 + I3
     scale = phi.invert(float(b.spec.N)) * b.spec.N ** (-delta)
     assert combined <= 50 * scale
+
+
+@pytest.mark.parametrize("consumer", ["decompose_I", "vdc_sum", "member_frac",
+                                      "member_floor_characterization"])
+def test_consumers_solve_each_index_once(consumer, monkeypatch):
+    # h2 equal to h1 by value only: the window's InverseFn is another object
+    N = 2**13
+    b = bset_xlogx(N)
+    psi = PsiFn(InverseFn(xlogx()))
+    n = np.arange(psi.n_min, N + 1, dtype=np.float64)
+    run = {
+        "decompose_I": lambda: decompose_I(dataclasses.replace(b, psi=psi),
+                                           0.3, M=2),
+        "vdc_sum": lambda: vdc_sum(3, 1, 0.3, psi.n_min, N, b.phi1, psi),
+        "member_frac": lambda: member_frac(n, b.phi1, psi),
+        "member_floor_characterization":
+            lambda: member_floor_characterization(n, b.phi1, psi),
+    }[consumer]
+    expected = run()
+    points = []
+    pair = InverseFn.pair
+
+    def counting(phi, y):
+        points.append(np.size(y))
+        return pair(phi, y)
+
+    monkeypatch.setattr(InverseFn, "pair", counting)
+    got = run()
+    assert sum(points) <= 1.05 * n.size
+    assert np.array_equal(np.asarray(got), np.asarray(expected))

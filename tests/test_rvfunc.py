@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from majorantlab import DomainError, InverseFn, PsiFn, RegVaryFn, SlowlyVaryingSpec
+from majorantlab.rvfunc import CHUNK, index_chunks, pairs_and_window
 
 
 def xlogx():
@@ -355,6 +356,31 @@ def test_psi_run_equals_pair_difference_bitwise():
     # a run and the same points out of order (two solves) agree bit for bit
     n = np.arange(float(psi.n_min), 5e4)
     assert np.array_equal(psi.value(n)[::-1], psi.value(n[::-1]))
+
+
+def test_pairs_and_window_equals_separate_evaluation():
+    phi = InverseFn(xlogx())
+    shared = PsiFn(InverseFn(xlogx()))        # phi's own window, by value
+    windows = (shared, PsiFn(InverseFn(xlog2x())), PsiFn(phi, mode="derivative"))
+    lo = float(max(w.n_min for w in windows))
+    for n in (np.arange(lo, 3e4),                             # a run
+              np.array([9e7, lo, 1234.0, 1235.0]),            # scattered
+              np.float64(777.0)):                             # a scalar
+        for psi in windows:
+            head, tail, psv = pairs_and_window(n, phi, psi)
+            h0, t0 = phi.pair(n)
+            assert np.shape(head) == np.shape(psv) == np.shape(n)
+            assert np.array_equal(head, h0) and np.array_equal(tail, t0)
+            assert np.array_equal(psv, psi(n))
+    with pytest.raises(DomainError):
+        pairs_and_window(np.array([shared.n_min - 1.0]), phi, shared)
+
+
+def test_index_chunks_cover_the_range_in_fixed_runs():
+    parts = list(index_chunks(5, 2 * CHUNK + 7))
+    assert [p.size for p in parts] == [CHUNK, CHUNK, 3]
+    assert np.array_equal(np.concatenate(parts), np.arange(5.0, 2 * CHUNK + 8))
+    assert list(index_chunks(10, 9)) == []
 
 
 def _mp_h(h, x):
