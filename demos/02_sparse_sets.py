@@ -15,7 +15,7 @@ from majorantlab import (
     SlowlyVaryingSpec,
     build_floor_set,
     build_frac_set,
-    count_vs_phi2,
+    fit_loglog_slope,
 )
 
 
@@ -33,19 +33,22 @@ def main():
     print()
 
     hx = RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
+    phi = InverseFn(hx)
     print("cardinality of the x log x plus-set against phi2(N):")
-    rows = count_vs_phi2(SetSpec("frac_plus", hx, hx, 1),
-                         [10**4, 10**5, 10**6])
-    for r in rows:
-        print(f"   N = {r.params['N']:>8}: |B_N| = {int(r.value):>6}, "
-              f"phi2(N) = {r.reference:10.1f}, ratio = {r.ratio:.5f}")
-    print(f"   fitted exponent of |ratio - 1|: {rows[0].exponent:.3f}")
+    Ns = [10**4, 10**5, 10**6]
+    ratios = []
+    for N in Ns:
+        b = build_frac_set(SetSpec("frac_plus", hx, hx, N))
+        ref = phi.invert(float(N))
+        ratios.append(len(b) / ref)
+        print(f"   N = {N:>8}: |B_N| = {len(b):>6}, "
+              f"phi2(N) = {ref:10.1f}, ratio = {ratios[-1]:.5f}")
+    slope = fit_loglog_slope(Ns, np.abs(np.array(ratios) - 1.0))
+    print(f"   fitted exponent of |ratio - 1|: {slope:.3f}")
     print()
 
-    big = build_frac_set(SetSpec("frac_plus", hx, hx, 10**6))
-    print(f"density at 1e6: {len(big) / 1e6:.5f} "
-          f"(borderline memberships: {big.borderline_count})")
-    phi = InverseFn(hx)
+    print(f"density at 1e6: {len(b) / 1e6:.5f} "
+          f"(borderline memberships: {b.borderline_count})")
     print(f"phi2(1e6)/1e6 = {phi.invert(1e6) / 1e6:.5f}")
 
 

@@ -38,7 +38,6 @@ from .sparseset import (
     build_floor_set,
     build_frac_set,
     build_set,
-    count_vs_phi2,
     load_set,
     member_floor_characterization,
     member_frac,
@@ -64,7 +63,7 @@ __all__ = [
     "MajorantLabError",
     "SlowlyVaryingSpec", "RegVaryFn", "InverseFn", "PsiFn",
     "SetSpec", "SparseSet", "build_floor_set", "build_frac_set", "build_set",
-    "count_vs_phi2", "load_set", "member_frac", "member_floor_characterization",
+    "load_set", "member_frac", "member_floor_characterization",
     "ExpSumRequest", "exp_sum", "model_sum", "dirichlet_sum", "error_term",
     "sawtooth", "sawtooth_truncated", "vdc_sum", "vdc_bound", "lemma1_bound",
     "decompose_I", "weighted_inverse_vs_dirichlet",

@@ -10,14 +10,13 @@ through the published per-task derivation.
 Exit codes: 0 success, 2 invalid parameters (flags, config file or
 function parameters), 3 capacity/budget exceeded (a work cap, or a
 quadrature that cannot converge under the grid cap), 4 verify-suite
-failure.  `--grid-cap` applies to the one call it is given to.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from .sweeps import (
     xi_grid,
 )
 from .trigpoly import (
-    GRID_CAP_ENV,
+    GRID_CAP_DEFAULT,
     fourier_sup_of_difference,
     measure_mu,
     measure_nu,
@@ -75,6 +74,11 @@ class ExperimentConfig:
     coeffs_out: str | None = None
     level: str = "quick"
 
+    @property
+    def cap(self) -> int:
+        """The quadrature grid cap: grid_cap when given, else the default."""
+        return GRID_CAP_DEFAULT if self.grid_cap is None else self.grid_cap
+
     def echo(self) -> dict:
         d = {}
         for key, val in vars(self).items():
@@ -94,7 +98,10 @@ def _family(kv: dict, default_c: float = 1.0) -> RegVaryFn:
 
 def _levels_list(spec: str) -> list:
     lo, _, hi = spec.partition(":")
-    return [2**j for j in range(int(lo), int(hi) + 1)]
+    levels = [2**j for j in range(int(lo), int(hi) + 1)]
+    if not levels:
+        raise ValueError(f"levels {spec!r} is an empty range")
+    return levels
 
 
 def _sweep(cfg: ExperimentConfig, axis, task, points, key=lambda r: None):
@@ -218,7 +225,7 @@ def _exp_prop2(cfg: ExperimentConfig):
         bset = build_frac_set(spec)
         with StopWatch() as sw:
             ratios = restriction_ratios(bset, p, trials=cfg.trials,
-                                        seed=cfg.seed, tol=cfg.tol)
+                                        seed=cfg.seed, tol=cfg.tol, cap=cfg.cap)
             sup, grid = fourier_sup_of_difference(
                 measure_mu(bset), measure_nu(int(N)))
         return [
@@ -256,7 +263,7 @@ def _exp_majorant(cfg: ExperimentConfig):
 
     rows, estimates = uniformity_sweep(
         build, cfg.p, cfg.N_list, budget=cfg.budget, seed=cfg.seed,
-        method=cfg.method, tol=max(cfg.tol, 1e-9))
+        method=cfg.method, tol=max(cfg.tol, 1e-9), cap=cfg.cap)
     if cfg.coeffs_out:
         largest = int(np.argmax(cfg.N_list))
         members = build(int(cfg.N_list[largest])).members
@@ -355,9 +362,6 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment and write its artifacts."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outside_cap = os.environ.get(GRID_CAP_ENV)
-    if cfg.grid_cap is not None:
-        os.environ[GRID_CAP_ENV] = str(int(cfg.grid_cap))
     try:
         rows = EXPERIMENTS[cfg.experiment][0](cfg)
     except (AdmissibilityError, ValueError) as exc:
@@ -366,11 +370,6 @@ def run(cfg: ExperimentConfig) -> int:
     except (CapacityError, ConvergenceError) as exc:
         print(f"capacity/budget exceeded: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if outside_cap is None:
-            os.environ.pop(GRID_CAP_ENV, None)
-        else:
-            os.environ[GRID_CAP_ENV] = outside_cap
     echo = cfg.echo()
     stem = out_dir / cfg.experiment
     if cfg.fmt in ("csv", "both"):
@@ -432,9 +431,12 @@ def _config_from_file(path: str) -> dict:
 
 def _parse_n_list(text: str) -> list:
     try:
-        return [int(float(v)) for v in text.split(",") if v.strip()]
+        values = [int(float(v)) for v in text.split(",") if v.strip()]
     except OverflowError:
         raise ValueError(f"N-list {text!r} holds an infinite value") from None
+    if not values:
+        raise ValueError(f"N-list {text!r} holds no value")
+    return values
 
 
 # config-file key -> parser of its value; a flag given for the same key

@@ -35,7 +35,7 @@ from .compensated import (
 )
 from .errors import CapacityError
 from .rvfunc import CHUNK, InverseFn, PsiFn, index_chunks, pairs_and_window
-from .sparseset import SparseSet
+from .sparseset import DEFAULT_CAP, SparseSet
 from .sweeps import SweepResult
 
 _TWO_PI = 2.0 * math.pi
@@ -233,9 +233,13 @@ def vdc_ratio_sweep(phi1: InverseFn, psi: PsiFn, m_max: int, xi_list,
     One pass over the index range: powers e(m(phi1 - l psi)) are built
     progressively and contracted against the frequency matrix, so the
     cost is a handful of BLAS calls per chunk rather than m_max * |xi|
-    separate scans.
+    separate scans.  A range of more than sparseset.DEFAULT_CAP indices
+    raises CapacityError, as a set build of that size does.
     """
     levels = sorted(int(N) for N in levels)
+    if levels[-1] - psi.n_min + 1 > DEFAULT_CAP:
+        raise CapacityError(f"VdC scan of {levels[-1] - psi.n_min + 1} "
+                            f"indices exceeds cap {DEFAULT_CAP}")
     xi_arr = np.asarray(list(xi_list), dtype=np.float64)
     sums = np.zeros((len(l_values), m_max, len(xi_arr), len(levels)),
                     dtype=np.complex128)

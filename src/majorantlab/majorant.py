@@ -33,7 +33,7 @@ import numpy as np
 from .errors import AdmissibilityError, CapacityError
 from .sparseset import SparseSet
 from .sweeps import StopWatch, SweepResult, derive_seed, fit_loglog_slope
-from .trigpoly import TrigPoly, lower_bound_lowfreq, lp_norm
+from .trigpoly import GRID_CAP_DEFAULT, TrigPoly, lower_bound_lowfreq, lp_norm
 
 DEFAULT_RESTARTS = 16          # per family: this many sign + this many phase
 DEFAULT_MAX_ITER = 200
@@ -57,10 +57,7 @@ def p_threshold(c1: float, c2: float) -> float:
         raise AdmissibilityError(
             f"(c1, c2) = ({c1}, {c2}) violates 1 < 1/(3 c1) + 1/c2")
     den = 1.0 / c1 + 3.0 / c2 - 3.0
-    value = 2.0 + (12.0 - 12.0 / c2) / den
-    alt = (2.0 / c1 - 6.0 / c2 + 6.0) / den
-    assert abs(value - alt) <= 1e-9 * max(abs(value), 1.0)
-    return value
+    return 2.0 + (12.0 - 12.0 / c2) / den
 
 
 @dataclass(frozen=True)
@@ -251,13 +248,15 @@ def _exhaustive_signs(obj: _GridObjective, n_free: int):
 def estimate_constant(prob: MajorantProblem, method: str = "both",
                       tol: float = 1e-9,
                       restarts: int = DEFAULT_RESTARTS,
-                      max_iter: int = DEFAULT_MAX_ITER) -> MajorantEstimate:
+                      max_iter: int = DEFAULT_MAX_ITER,
+                      cap: int = GRID_CAP_DEFAULT) -> MajorantEstimate:
     """Maximize ||sum a_n e(n.)||_p / ||sum e(n.)||_p over |a_n| = 1.
 
     method: 'signs', 'phase', or 'both'.  The all-ones choice is always
     a candidate, so the result is never below 1 up to the norm tolerance.
     Restarts draw their seeds from the problem seed in order; the best
-    objective wins, earlier restarts winning ties.
+    objective wins, earlier restarts winning ties.  `cap` is the grid cap
+    of the quadratures that re-measure the finalists.
     """
     if method not in ("signs", "phase", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -316,14 +315,14 @@ def estimate_constant(prob: MajorantProblem, method: str = "both",
     for F, meth, coeffs in candidates:
         if meth not in finalists or F > finalists[meth][0]:
             finalists[meth] = (F, coeffs)
-    base = lp_norm(TrigPoly(A, ones), prob.p, tol=max(tol, 1e-12)).value
+    base = lp_norm(TrigPoly(A, ones), prob.p, tol=max(tol, 1e-12), cap=cap).value
     value, best_method, best_coeffs = 1.0, "signs_local_search", ones
     for meth in ("signs_local_search", "phase_gradient"):
         if meth not in finalists:
             continue
         coeffs = finalists[meth][1]
         ratio = lp_norm(TrigPoly(A, coeffs), prob.p,
-                        tol=max(tol, 1e-12)).value / base
+                        tol=max(tol, 1e-12), cap=cap).value / base
         if ratio > value:
             value, best_method, best_coeffs = ratio, meth, coeffs
     return MajorantEstimate(value=value, argmax_coeffs=best_coeffs,
@@ -410,7 +409,7 @@ def hy_envelope(A, N: int, p: float) -> float:
 
 def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGET,
                      seed: int = 0, method: str = "both", tol: float = 1e-9,
-                     experiment: str = "majorant"
+                     experiment: str = "majorant", cap: int = GRID_CAP_DEFAULT
                      ) -> tuple[list[SweepResult], list[MajorantEstimate]]:
     """Constant estimates across N with a shared optimizer budget.
 
@@ -427,7 +426,7 @@ def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGE
             bset = build_set_fn(int(N))
             prob = MajorantProblem(bset.members, int(N), p, budget=budget,
                                    seed=derive_seed(seed, i))
-            est = estimate_constant(prob, method=method, tol=tol)
+            est = estimate_constant(prob, method=method, tol=tol, cap=cap)
             env = hy_envelope(bset.members, int(N), p)
         running = max(running, est.value)
         estimates.append(est)

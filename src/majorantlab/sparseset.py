@@ -32,7 +32,6 @@ import numpy as np
 from .compensated import frac_pair
 from .errors import CapacityError
 from .rvfunc import InverseFn, PsiFn, RegVaryFn, index_chunks, pairs_and_window
-from .sweeps import StopWatch, SweepResult, fit_loglog_slope
 
 DEFAULT_GUARD = 1e-9
 DEFAULT_CAP = 1 << 28
@@ -279,34 +278,3 @@ def build_set(spec: SetSpec, **kw) -> SparseSet:
     if spec.kind == "floor_image":
         return build_floor_set(spec.h1, spec.N, **kw)
     return build_frac_set(spec, **kw)
-
-
-# ------------------------------------------------------------- counting
-
-
-def count_vs_phi2(spec: SetSpec, N_list, experiment: str = "count") -> list[SweepResult]:
-    """Cardinality against phi2(N) for each N, plus the fitted decay
-    exponent of |ratio - 1| over the sweep (NaN for a single N)."""
-    phi2 = InverseFn(spec.h2)
-    rows = []
-    ratios = []
-    for N in N_list:
-        sub = SetSpec(spec.kind, spec.h1, spec.h2, int(N), psi_mode=spec.psi_mode)
-        with StopWatch() as sw:
-            built = build_set(sub)
-        ref = phi2.invert(float(N))
-        ratio = len(built) / ref
-        ratios.append(ratio)
-        rows.append(SweepResult(
-            experiment=experiment, quantity="cardinality_ratio",
-            value=float(len(built)), reference=ref, ratio=ratio,
-            wall_ms=sw.ms, borderline_count=built.borderline_count,
-            params={"kind": spec.kind, "N": int(N),
-                    "h1": spec.h1.to_kv(), "h2": spec.h2.to_kv(),
-                    "psi_mode": spec.psi_mode,
-                    "admissible": spec.admissible},
-        ))
-    slope = fit_loglog_slope(list(N_list), np.abs(np.asarray(ratios) - 1.0))
-    for r in rows:
-        r.exponent = slope
-    return rows

@@ -17,7 +17,6 @@ masses.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +28,7 @@ from .sweeps import derive_seed
 
 DEGREE_CAP = 1 << 23
 GRID_CAP_DEFAULT = 1 << 26
-GRID_CAP_ENV = "MAJORANTLAB_GRID_CAP"
 _CONV_BUDGET = 1 << 26
-
-
-def grid_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return int(explicit)
-    return int(os.environ.get(GRID_CAP_ENV, GRID_CAP_DEFAULT))
 
 
 @dataclass
@@ -116,13 +108,12 @@ def _start_grid(degree: int) -> int:
 
 
 def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
-            cap: int | None = None) -> QuadratureResult:
+            cap: int = GRID_CAP_DEFAULT) -> QuadratureResult:
     """(integral of |P|^p over the torus)^(1/p) by doubling rectangle rule."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if not 1e-12 <= tol <= 1e-2:
         raise ValueError("tol must lie in [1e-12, 1e-2]")
-    cap = grid_cap(cap)
     if len(P.support) == 0:
         return QuadratureResult(0.0, 0, 0.0)
     K = _start_grid(P.degree)
@@ -308,10 +299,13 @@ def l2_norm_weighted(f_vals, m: DiscreteMeasure) -> float:
 
 
 def restriction_ratios(bset: SparseSet, p: float, trials: int = 16,
-                       seed: int = 0, tol: float = 1e-8) -> list[float]:
+                       seed: int = 0, tol: float = 1e-8,
+                       cap: int = GRID_CAP_DEFAULT) -> list[float]:
     """||F(f mu_N)||_p * N^(1/p) / ||f||_{L2(mu_N)} for seeded test
     functions on the set: the all-ones choice first, then standard
     complex normal coefficients."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     mu = measure_mu(bset)
     N = bset.spec.N
     out = []
@@ -322,7 +316,7 @@ def restriction_ratios(bset: SparseSet, p: float, trials: int = 16,
             rng = np.random.default_rng(derive_seed(derive_seed(seed, N), t))
             f = (rng.standard_normal(len(mu.atoms))
                  + 1j * rng.standard_normal(len(mu.atoms))) / math.sqrt(2.0)
-        num = lp_norm(extension_poly(f, mu), p, tol=tol).value * N ** (1.0 / p)
+        num = lp_norm(extension_poly(f, mu), p, tol=tol, cap=cap).value * N ** (1.0 / p)
         den = l2_norm_weighted(f, mu)
         out.append(num / den)
     return out

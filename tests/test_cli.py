@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from majorantlab import InverseFn, TrigPoly, expsum, load_set, lp_norm, trigpoly
+from majorantlab import InverseFn, TrigPoly, expsum, load_set, lp_norm
 from majorantlab.cli import main
 from majorantlab.verify import (
     VerifyReport,
@@ -155,6 +155,7 @@ def test_exit_code_validation_error(tmp_path):
     ["count", "--N-list", "1e12"],
     # beyond ~2^64 longdouble cannot step the floor-set endpoint by one
     ["count", "--kind", "floor_image", "--N-list", "1e30"],
+    ["vdc", "--levels", "40:40"],
 ])
 def test_exit_code_capacity_error(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 3
@@ -174,6 +175,10 @@ def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
     ["count", "--N-list", "1e3,abc"],
     ["--config", "/nonexistent/exp.ini", "count"],
     ["count", "--N-list", "1e400"],
+    ["vdc", "--levels", "5:3"],
+    ["prop2", "--levels", "5:3"],
+    ["count", "--N-list", ""],
+    ["prop2", "--trials", "0"],
 ])
 def test_exit_code_bad_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -183,13 +188,27 @@ def test_exit_code_bad_input(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("outside", [None, "8192"])
 def test_grid_cap_flag_applies_to_one_call(tmp_path, monkeypatch, outside):
+    # the cap is an argument of one call: the next call without the flag
+    # runs at the default, and MAJORANTLAB_GRID_CAP (absent or preset to
+    # a cap too small for these levels) is not read
     if outside is None:
-        monkeypatch.delenv(trigpoly.GRID_CAP_ENV, raising=False)
+        monkeypatch.delenv("MAJORANTLAB_GRID_CAP", raising=False)
     else:
-        monkeypatch.setenv(trigpoly.GRID_CAP_ENV, outside)
-    before = trigpoly.grid_cap()
-    assert main(["thresholds", "--grid-cap", "4096", "--out", str(tmp_path)]) == 0
-    assert trigpoly.grid_cap() == before
+        monkeypatch.setenv("MAJORANTLAB_GRID_CAP", outside)
+    prop2 = ["prop2", "--levels", "10:11", "--trials", "2", "--out",
+             str(tmp_path)]
+    assert main(prop2 + ["--grid-cap", "8192"]) == 3
+    assert main(prop2) == 0
+
+
+def test_grid_cap_reaches_worker_threads_and_config_file(tmp_path):
+    # the cap travels as an argument: into the worker threads of a
+    # two-level prop2, and from the config-file key as from the flag
+    prop2 = ["prop2", "--levels", "10:11", "--trials", "2", "--workers", "2"]
+    assert main(prop2 + ["--grid-cap", "8192", "--out", str(tmp_path)]) == 3
+    cfg = tmp_path / "cap.ini"
+    cfg.write_text("[params]\ngrid_cap = 8192\n")
+    assert main(["--config", str(cfg)] + prop2 + ["--out", str(tmp_path)]) == 3
 
 
 def test_exit_code_verify_failure(tmp_path, monkeypatch):
@@ -322,5 +341,9 @@ def test_suite_levels():
     quick = suite("quick")
     assert quick.all_passed
     assert all(r.level == "quick" for r in quick.results)
+    # the acceptance checks at their reduced default sizes
+    full = suite("full")
+    assert full.all_passed, list(full.lines())
+    assert len(full.results) > len(quick.results)
     with pytest.raises(ValueError):
         suite("nope")

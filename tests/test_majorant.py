@@ -62,6 +62,19 @@ def test_threshold_two_closed_forms_agree_symbolically():
     assert sympy.simplify(first - second) == 0
 
 
+def test_threshold_two_closed_forms_agree_numerically():
+    # across the admissible region, out to its edge 1/(3 c1) + 1/c2 = 1
+    # where both forms divide by a vanishing denominator
+    for c1 in np.linspace(0.5, 3.0, 11):
+        edge = 1.0 / (1.0 - 1.0 / (3.0 * c1))
+        inner = np.linspace(0.2, edge, 20, endpoint=False)
+        near = edge * (1.0 - np.logspace(-3, -9, 4))
+        for c2 in np.concatenate([inner, near]):
+            den = 1.0 / c1 + 3.0 / c2 - 3.0
+            second = (2.0 / c1 - 6.0 / c2 + 6.0) / den
+            assert p_threshold(c1, c2) == pytest.approx(second, rel=1e-9)
+
+
 # ----------------------------------------------------------- estimates
 
 

@@ -1,18 +1,20 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from majorantlab import InverseFn, PsiFn, RegVaryFn, SlowlyVaryingSpec
+from majorantlab.cli import main
 from majorantlab.sparseset import (
     SetSpec,
     build_floor_set,
     build_frac_set,
-    count_vs_phi2,
     load_set,
     member_floor_characterization,
     member_frac,
 )
+from majorantlab.verify import check_cardinality
 
 
 def xlogx():
@@ -190,26 +192,31 @@ def test_borderline_fraction_small():
 # -------------------------------------------------------------- counting
 
 
+def count_rows(tmp_path, *argv):
+    """The rows of `majorantlab count` with the given flags."""
+    assert main(["count", *argv, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "count.csv") as fh:
+        return list(csv.DictReader(l for l in fh if not l.startswith("#")))
+
+
 def test_count_ratio_moderate_n():
-    h = xlogx()
-    rows = count_vs_phi2(SetSpec("frac_plus", h, h, 1), [10**4, 10**5, 10**6])
-    ratios = [r.ratio for r in rows]
-    assert all(abs(r - 1) < 0.05 for r in ratios)
-    # fitted exponent of |ratio - 1| decays
-    assert rows[0].exponent < 0
+    # ratio within 5 % of 1 at 1e6, |ratio - 1| decaying over 1e4..1e6
+    ok, measured = check_cardinality()
+    assert ok, measured
 
 
-def test_count_single_n_exponent_is_nan():
-    h = xlogx()
-    rows = count_vs_phi2(SetSpec("frac_plus", h, h, 1), [10**4])
-    assert math.isnan(rows[0].exponent)
+def test_count_single_n_exponent_is_nan(tmp_path):
+    rows = count_rows(tmp_path, "--N-list", "1e4")
+    assert math.isnan(float(rows[0]["exponent"]))
 
 
-def test_count_mixed_families():
-    rows = count_vs_phi2(SetSpec("frac_plus", x15(2.0), xlogx(), 1),
-                         [10**4, 10**5, 10**6])
-    assert rows[-1].exponent < 0
-    assert abs(rows[-1].ratio - 1) < 0.05
+def test_count_mixed_families(tmp_path):
+    # h1 = x^1.5 (domain start 2), h2 = x log x
+    rows = count_rows(tmp_path, "--c1", "1.5", "--ell1", "constant_one",
+                      "--N-list", "1e4,1e5,1e6")
+    assert rows[-1]["h1"] == "family=constant_one, c=1.5, x0=2"
+    assert float(rows[-1]["exponent"]) < 0
+    assert abs(float(rows[-1]["ratio"]) - 1) < 0.05
 
 
 # ------------------------------------------------------ spec admissibility
