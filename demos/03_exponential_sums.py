@@ -6,7 +6,6 @@ double sum plus two envelope pieces, and the curvature-bound ratios.
 """
 
 from majorantlab import (
-    ExpSumRequest,
     InverseFn,
     PsiFn,
     RegVaryFn,
@@ -34,7 +33,7 @@ def main():
     rel = []
     for N in Ns:
         b = build_frac_set(SetSpec("frac_plus", h, h, N))
-        e = error_term(b, xi)
+        e = error_term(b, [xi])[0]
         rel.append(e / phi.invert(float(N)))
         print(f"   N = {N:>8}: |S - model| = {e:10.3f},  /phi2 = {rel[-1]:.2e}")
     print(f"   fitted decay exponent: {fit_loglog_slope(Ns, rel):.3f}")
@@ -42,8 +41,7 @@ def main():
 
     N = 10**4
     b = build_frac_set(SetSpec("frac_plus", h, h, N))
-    S = (exp_sum(ExpSumRequest(b, xi, "unit"))
-         - model_sum(N, xi, "psi", psi=b.psi))
+    S = (exp_sum(b, [xi]) - model_sum(N, [xi], "psi", psi=b.psi))[0]
     I1, I2, I3 = decompose_I(b, xi, M=64)
     print(f"sawtooth decomposition at N = {N}, M = 64:")
     print(f"   exact error sum   = {abs(S):.4f}")

@@ -35,8 +35,8 @@ def main():
     nu = measure_nu(N)
     print(f"N = {N}: |B_N| = {len(b)}, total masses "
           f"mu = {mu.total_mass:.4f}, nu = {nu.total_mass:.4f}")
-    print(f"   F(mu)(0.31) = {fourier_of_measure(mu, 0.31):.6f}")
-    print(f"   F(nu)(0.31) = {fourier_of_measure(nu, 0.31):.6f}")
+    print(f"   F(mu)(0.31) = {fourier_of_measure(mu, [0.31])[0]:.6f}")
+    print(f"   F(nu)(0.31) = {fourier_of_measure(nu, [0.31])[0]:.6f}")
     print()
 
     print("sup |F(mu_N - nu_N)| across N:")

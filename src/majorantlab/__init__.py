@@ -9,7 +9,6 @@ from .errors import (
     MajorantLabError,
 )
 from .expsum import (
-    ExpSumRequest,
     decompose_I,
     dirichlet_sum,
     error_term,
@@ -64,7 +63,7 @@ __all__ = [
     "SlowlyVaryingSpec", "RegVaryFn", "InverseFn", "PsiFn",
     "SetSpec", "SparseSet", "build_floor_set", "build_frac_set", "build_set",
     "load_set", "member_frac", "member_floor_characterization",
-    "ExpSumRequest", "exp_sum", "model_sum", "dirichlet_sum", "error_term",
+    "exp_sum", "model_sum", "dirichlet_sum", "error_term",
     "sawtooth", "sawtooth_truncated", "vdc_sum", "vdc_bound", "lemma1_bound",
     "decompose_I", "weighted_inverse_vs_dirichlet",
     "TrigPoly", "QuadratureResult", "DiscreteMeasure", "lp_norm",

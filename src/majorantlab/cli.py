@@ -154,9 +154,10 @@ def _exp_count(cfg: ExperimentConfig):
 
 
 def _exp_per_xi(cfg: ExperimentConfig, quantity, measure, reference, y, params):
-    """measure(bset, xi) on the set of every N at every xi of the grid,
-    reported against reference(phi2, N); the rows of one xi share the
-    slope of y(row) against N.  params(h1, h2) adds row columns."""
+    """measure(bset, xis), one value per xi of the grid, on the set of
+    every N, reported against reference(phi2, N); the rows of one xi
+    share the slope of y(row) against N.  params(h1, h2) adds row
+    columns, and wall_ms is the time of the N's one measure call."""
     h1, h2 = _family(cfg.h1), _family(cfg.h2)
     xis = xi_grid(cfg.xi_rule, seed=cfg.seed)
     phi2 = InverseFn(h2)
@@ -166,17 +167,14 @@ def _exp_per_xi(cfg: ExperimentConfig, quantity, measure, reference, y, params):
         bset = build_frac_set(SetSpec(cfg.kind, h1, h2, int(N),
                                       psi_mode=cfg.psi_mode))
         ref = reference(phi2, N)
-        rows = []
-        for xi in xis:
-            with StopWatch() as sw:
-                v = measure(bset, float(xi))
-            rows.append(SweepResult(
-                experiment=cfg.experiment, quantity=quantity, value=v,
-                reference=ref, ratio=v / ref, wall_ms=sw.ms, seed=cfg.seed,
-                borderline_count=bset.borderline_count,
-                params={"N": int(N), "xi": float(xi), **extra},
-            ))
-        return rows
+        with StopWatch() as sw:
+            values = measure(bset, xis)
+        return [SweepResult(
+            experiment=cfg.experiment, quantity=quantity, value=float(v),
+            reference=ref, ratio=float(v) / ref, wall_ms=sw.ms, seed=cfg.seed,
+            borderline_count=bset.borderline_count,
+            params={"N": int(N), "xi": float(xi), **extra},
+        ) for xi, v in zip(xis, values)]
 
     return _sweep(cfg, cfg.N_list, task, _per_row(y),
                   key=lambda r: r.params["xi"])
@@ -202,8 +200,8 @@ def _exp_vdc(cfg: ExperimentConfig):
     psi = PsiFn(InverseFn(h2), mode=cfg.psi_mode)
     levels = _levels_list(cfg.levels)
 
-    def task(xi):
-        rows = vdc_ratio_sweep(phi1, psi, cfg.m_max, [float(xi)], levels)
+    def task(xis):
+        rows = vdc_ratio_sweep(phi1, psi, cfg.m_max, xis, levels)
         for r in rows:
             r.seed = cfg.seed
         return rows
@@ -212,7 +210,9 @@ def _exp_vdc(cfg: ExperimentConfig):
         return levels, [max(r.ratio for r in rows if r.params["N"] == N)
                         for N in levels]
 
-    return _sweep(cfg, xi_grid(cfg.xi_rule, seed=cfg.seed), task, level_max)
+    # one task: one scan of the index range serves the whole grid
+    xis = xi_grid(cfg.xi_rule, seed=cfg.seed)
+    return _sweep(cfg, [xis], task, level_max)
 
 
 def _exp_prop2(cfg: ExperimentConfig):

@@ -11,6 +11,12 @@ Phi at frequency M turns the bracket into the explicit double sum I1 plus
 remainders dominated by min{1, 1/(M ||.||)} evaluated at phi1(n)-psi(n)
 and phi1(n); decompose_I computes all three pieces as actual sums.
 
+Frequencies come as a vector and one value per xi comes out; each
+function scans its index range (solving psi there) once for all of
+them.  The set, model and measure sums share the kernel weighted_sums,
+one pairwise np.sum per chunk and xi, so no total depends on the other
+frequencies (vdc_ratio_sweep's matrix products do, in the last bits).
+
 Phase sums with arguments m*phi1(n) keep accuracy at large n by taking
 fractional parts on head/tail pairs; plain products xi*n are reduced
 mod 1 with an error-free transform.  Accumulation uses numpy's pairwise
@@ -21,7 +27,6 @@ not depend on any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,55 +54,53 @@ def e1(frac):
     return np.exp((2j * math.pi) * np.asarray(frac, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class ExpSumRequest:
-    set: SparseSet
-    xi: float
-    weight: str = "unit"
-
-    def __post_init__(self):
-        if not 0.0 <= self.xi < 1.0:
-            raise ValueError("xi must lie in [0, 1)")
-        if self.weight not in WEIGHTS:
-            raise ValueError(f"unknown weight {self.weight!r}")
-        if self.weight != "unit" and self.set.psi is None:
-            raise ValueError("psi/psi_inverse weights need a set built with a window")
+def weighted_sums(chunks, xis) -> np.ndarray:
+    """sum of w(n) e(xi n) over the (n, w) chunks, one value per xi."""
+    xis = np.asarray(xis, dtype=np.float64)
+    totals = np.zeros(len(xis), dtype=np.complex128)
+    for n, w in chunks:
+        for k, xi in enumerate(xis):
+            totals[k] += np.sum(w * e1(frac_product(xi, n)))
+    return totals
 
 
-def _weights_for(req: ExpSumRequest, n: np.ndarray) -> np.ndarray:
-    if req.weight == "unit":
-        return np.ones_like(n)
-    w = np.asarray(req.set.psi(n), dtype=np.float64)
-    return 1.0 / w if req.weight == "psi_inverse" else w
+def _member_chunks(bset: SparseSet, xis: np.ndarray, weight: str):
+    """(n, weight(n)) over the members, after checking xis, weight, window."""
+    if not np.all((0.0 <= xis) & (xis < 1.0)):
+        raise ValueError("xi must lie in [0, 1)")
+    if weight not in WEIGHTS:
+        raise ValueError(f"unknown weight {weight!r}")
+    if weight != "unit" and bset.psi is None:
+        raise ValueError("psi/psi_inverse weights need a set built with a window")
+    for a in range(0, len(bset.members), CHUNK):
+        n = bset.members[a:a + CHUNK].astype(np.float64)
+        if weight == "unit":
+            yield n, np.ones_like(n)
+        else:
+            w = np.asarray(bset.psi(n), dtype=np.float64)
+            yield n, 1.0 / w if weight == "psi_inverse" else w
 
 
-def exp_sum(req: ExpSumRequest) -> complex:
-    """sum over the set of weight(n) * e(xi n), chunked pairwise."""
-    total = 0.0 + 0.0j
-    members = req.set.members
-    for a in range(0, len(members), CHUNK):
-        n = members[a:a + CHUNK].astype(np.float64)
-        total += np.sum(_weights_for(req, n) * e1(frac_product(req.xi, n)))
-    return complex(total)
+def exp_sum(bset: SparseSet, xis, weight: str = "unit") -> np.ndarray:
+    """sum over the set of weight(n) * e(xi n), one value per xi in [0, 1)."""
+    xis = np.asarray(xis, dtype=np.float64)
+    return weighted_sums(_member_chunks(bset, xis, weight), xis)
 
 
-def model_sum(N: int, xi: float, weight: str = "unit",
-              psi: PsiFn | None = None) -> complex:
-    """The smooth model: sum_{n=1}^N e(xi n) in closed form for unit
-    weight, or the direct sum of psi(n) e(xi n) over [n_min, N]."""
+def model_sum(N: int, xis, weight: str = "unit",
+              psi: PsiFn | None = None) -> np.ndarray:
+    """The smooth model at every xi: sum_{n=1}^N e(xi n) in closed form
+    for unit weight, or the direct sum of psi(n) e(xi n) over [n_min, N]."""
     if weight == "unit":
-        return dirichlet_sum(N, xi)
+        return np.array([dirichlet_sum(N, xi) for xi in xis], dtype=complex)
     if weight != "psi":
         raise ValueError("model_sum supports unit and psi weights")
     if psi is None:
         raise ValueError("psi weight needs the window object")
     if N < psi.n_min:
         raise ValueError("N below the window's n_min")
-    total = 0.0 + 0.0j
-    for n in index_chunks(psi.n_min, N):
-        total += np.sum(np.asarray(psi(n), dtype=np.float64)
-                        * e1(frac_product(xi, n)))
-    return complex(total)
+    return weighted_sums(((n, np.asarray(psi(n), dtype=np.float64))
+                          for n in index_chunks(psi.n_min, N)), xis)
 
 
 def _frac_and_parity(xi: float, k: float):
@@ -129,17 +132,24 @@ def dirichlet_sum(N: int, xi: float) -> complex:
     return (num / den) * complex(np.exp(2j * math.pi * phase))
 
 
-def error_term(bset: SparseSet, xi: float) -> float:
-    """|exp sum over the set - psi-weighted model sum| at frequency xi."""
-    s = exp_sum(ExpSumRequest(bset, xi, "unit"))
-    m = model_sum(bset.spec.N, xi, "psi", psi=bset.psi)
-    return abs(s - m)
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # as abs() of a Python complex; np.abs can round the last bit apart
+    return np.hypot(z.real, z.imag)
 
 
-def weighted_inverse_vs_dirichlet(bset: SparseSet, xi: float) -> float:
-    """|sum_{n in B_N} psi(n)^{-1} e(xi n) - sum_{n=1}^N e(xi n)|."""
-    s = exp_sum(ExpSumRequest(bset, xi, "psi_inverse"))
-    return abs(s - dirichlet_sum(bset.spec.N, xi))
+def error_term(bset: SparseSet, xis) -> np.ndarray:
+    """|exp sum over the set - psi-weighted model sum| at every xi."""
+    xis = np.asarray(xis, dtype=np.float64)
+    # the kernel rather than exp_sum: bench/tracer.py's exp_sum hook
+    # reads args[0].set.members, the request exp_sum used to take
+    s = weighted_sums(_member_chunks(bset, xis, "unit"), xis)
+    return _modulus(s - model_sum(bset.spec.N, xis, "psi", psi=bset.psi))
+
+
+def weighted_inverse_vs_dirichlet(bset: SparseSet, xis) -> np.ndarray:
+    """|sum_{n in B_N} psi(n)^{-1} e(xi n) - sum_{n=1}^N e(xi n)| per xi."""
+    return _modulus(exp_sum(bset, xis, "psi_inverse")
+                    - model_sum(bset.spec.N, xis))
 
 
 # ------------------------------------------------------------- sawtooth
@@ -202,33 +212,25 @@ def vdc_sum(m: int, l: int, xi: float, X: float, X2: float,
     return complex(total)
 
 
-def sigma_factor(phi1: InverseFn, X, sigma_mode: str = "auto"):
-    """sigma(X): the empirical curvature factor at c = 1, else 1."""
-    if sigma_mode == "one" or (sigma_mode == "auto" and phi1.source.c > 1.0):
-        return np.ones_like(np.asarray(X, dtype=np.float64)) if np.ndim(X) else 1.0
-    if sigma_mode not in ("auto", "empirical"):
-        raise ValueError(f"unknown sigma mode {sigma_mode!r}")
-    return phi1.sigma1_hat(X)
-
-
-def vdc_bound(m: int, X: float, phi1: InverseFn, sigma_mode: str = "auto") -> float:
-    """m^(1/2) X (sigma(X) phi1(X))^(-1/2), constant 1."""
+def vdc_bound(m: int, X: float, phi1: InverseFn) -> float:
+    """m^(1/2) X (sigma(X) phi1(X))^(-1/2), constant 1, with the
+    curvature factor sigma(X) empirical at c = 1 and 1 for c > 1."""
     if m == 0:
         raise ValueError("m must be nonzero")
-    s = sigma_factor(phi1, X, sigma_mode)
-    return math.sqrt(abs(m)) * X / math.sqrt(float(s) * phi1.invert(X))
+    s = 1.0 if phi1.source.c > 1.0 else float(phi1.sigma1_hat(X))
+    return math.sqrt(abs(m)) * X / math.sqrt(s * phi1.invert(X))
 
 
-def lemma1_bound(m: int, N: float, phi1: InverseFn, sigma_mode: str = "auto") -> float:
+def lemma1_bound(m: int, N: float, phi1: InverseFn) -> float:
     """m^(1/2) N log(N) (sigma(N) phi1(N))^(-1/2), constant 1."""
-    return vdc_bound(m, N, phi1, sigma_mode) * math.log(N)
+    return vdc_bound(m, N, phi1) * math.log(N)
 
 
 def vdc_ratio_sweep(phi1: InverseFn, psi: PsiFn, m_max: int, xi_list,
-                    levels, l_values=(0, 1),
-                    experiment: str = "vdc") -> list[SweepResult]:
+                    levels, l_values=(0, 1)) -> list[SweepResult]:
     """|full phase sum| / lemma1_bound over m in 1..m_max, the given
-    frequencies, and dyadic endpoints N in `levels`.
+    frequencies, and dyadic endpoints N in `levels`; rows go by the
+    position of xi in xi_list, then l, m and N.
 
     One pass over the index range: powers e(m(phi1 - l psi)) are built
     progressively and contracted against the frequency matrix, so the
@@ -236,6 +238,8 @@ def vdc_ratio_sweep(phi1: InverseFn, psi: PsiFn, m_max: int, xi_list,
     separate scans.  A range of more than sparseset.DEFAULT_CAP indices
     raises CapacityError, as a set build of that size does.
     """
+    if m_max < 1:
+        raise ValueError(f"m-max must be >= 1, got {m_max}")
     levels = sorted(int(N) for N in levels)
     if levels[-1] - psi.n_min + 1 > DEFAULT_CAP:
         raise CapacityError(f"VdC scan of {levels[-1] - psi.n_min + 1} "
@@ -268,14 +272,14 @@ def vdc_ratio_sweep(phi1: InverseFn, psi: PsiFn, m_max: int, xi_list,
                 if im + 1 < m_max:
                     cur = cur * u
     rows = []
-    for il, l in enumerate(l_values):
-        for im in range(m_max):
-            for ix, xi in enumerate(xi_arr):
+    for ix, xi in enumerate(xi_arr):
+        for il, l in enumerate(l_values):
+            for im in range(m_max):
                 for iN, N in enumerate(levels):
                     val = abs(sums[il, im, ix, iN])
                     bd = bounds[im, iN]
                     rows.append(SweepResult(
-                        experiment=experiment, quantity="vdc_ratio",
+                        experiment="vdc", quantity="vdc_ratio",
                         value=val, reference=bd, ratio=val / bd,
                         params={"m": im + 1, "l": l, "xi": float(xi), "N": N},
                     ))

@@ -128,13 +128,19 @@ class _GridObjective:
         return np.fft.ifft(dense) * self.K
 
     def value(self, coeffs) -> float:
-        self.evals += 1
-        return float(np.mean(np.abs(self.values(coeffs)) ** self.p))
+        return self.value_at(self.values(coeffs))
 
-    def value_and_grad(self, theta):
+    def value_at(self, vals) -> float:
+        """F from the grid values of a coefficient vector."""
         self.evals += 1
+        return float(np.mean(np.abs(vals) ** self.p))
+
+    def value_and_grad(self, theta, vals=None):
+        """F and dF/dtheta; vals, when known, are the grid values at theta."""
         coeffs = np.exp(1j * theta)
-        vals = self.values(coeffs)
+        if vals is None:
+            self.evals += 1
+            vals = self.values(coeffs)
         av = np.abs(vals)
         F = float(np.mean(av ** self.p))
         w = av ** (self.p - 2.0)
@@ -163,7 +169,8 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
         accepted = False
         for _ in range(40):
             trial = theta + eta * g
-            Ft = obj.value(np.exp(1j * trial))
+            vals = obj.values(np.exp(1j * trial))
+            Ft = obj.value_at(vals)
             if Ft >= F + ARMIJO * eta * g2:
                 theta = trial
                 F = Ft
@@ -174,7 +181,7 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
         used += 1
         if not accepted:
             break
-        F, g = obj.value_and_grad(theta)
+        F, g = obj.value_and_grad(theta, vals)
     return theta, F, max(used, 1)
 
 
@@ -409,7 +416,7 @@ def hy_envelope(A, N: int, p: float) -> float:
 
 def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGET,
                      seed: int = 0, method: str = "both", tol: float = 1e-9,
-                     experiment: str = "majorant", cap: int = GRID_CAP_DEFAULT
+                     cap: int = GRID_CAP_DEFAULT
                      ) -> tuple[list[SweepResult], list[MajorantEstimate]]:
     """Constant estimates across N with a shared optimizer budget.
 
@@ -431,7 +438,7 @@ def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGE
         running = max(running, est.value)
         estimates.append(est)
         rows.append(SweepResult(
-            experiment=experiment, quantity="majorant_lower_estimate",
+            experiment="majorant", quantity="majorant_lower_estimate",
             value=est.value, reference=env, ratio=est.value / env,
             wall_ms=sw.ms, seed=prob.seed,
             borderline_count=bset.borderline_count,

@@ -172,12 +172,12 @@ def load_set(path) -> SparseSet:
 # ------------------------------------------------------------ membership
 
 
-def member_frac(n, phi1: InverseFn, psi, sign: str = "plus", guard: float = DEFAULT_GUARD):
+def member_frac(n, phi1: InverseFn, psi, sign: str = "plus"):
     """Fractional-part membership test.
 
     Returns (member, margin) with margin = psi(n) - {sign * phi1(n)};
     membership is margin > 0.  Works on scalars and arrays.  The caller
-    treats |margin| < guard as borderline.
+    treats |margin| below its guard band as borderline.
     """
     head, tail, psv = pairs_and_window(n, phi1, psi)
     frac = frac_pair(head, tail, sign=1 if sign == "plus" else -1)

@@ -77,19 +77,22 @@ def xi_grid(rule: str, seed: int = 0) -> np.ndarray:
         k = int(rule.split(":", 1)[1])
         rng = np.random.default_rng(seed)
         return np.concatenate([[0.0, 0.5], rng.random(k)])
-    return np.array([float(v) for v in rule.split(",") if v.strip() != ""])
+    xis = np.array([float(v) for v in rule.split(",") if v.strip() != ""])
+    if not len(xis):
+        raise ValueError(f"xi-rule {rule!r} holds no frequency")
+    return xis
 
 
 def fit_loglog_slope(x, y) -> float:
     """Least-squares slope of log y against log x.
 
-    Nonpositive or non-finite y values are dropped; with fewer than two
-    usable points the slope is not defined and NaN is returned.
+    Nonpositive or non-finite values are dropped; with fewer than two
+    distinct x left the slope is not defined and NaN is returned.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     keep = np.isfinite(y) & (y > 0) & np.isfinite(x) & (x > 0)
-    if keep.sum() < 2:
+    if len(np.unique(x[keep])) < 2:
         return math.nan
     lx, ly = np.log(x[keep]), np.log(y[keep])
     return float(np.polyfit(lx, ly, 1)[0])

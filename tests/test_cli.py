@@ -179,11 +179,18 @@ def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
     ["prop2", "--levels", "5:3"],
     ["count", "--N-list", ""],
     ["prop2", "--trials", "0"],
+    ["vdc", "--xi-rule", ","],
+    ["expsum-decay", "--xi-rule", ","],
+    ["lemma2", "--xi-rule", ","],
+    ["vdc", "--m-max", "0"],
 ])
 def test_exit_code_bad_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "invalid parameters" in err and err.count("\n") == 1
+    for flag in ("--xi-rule", "--m-max"):
+        if flag in argv:
+            assert flag[2:] in err
 
 
 @pytest.mark.parametrize("outside", [None, "8192"])
@@ -294,11 +301,16 @@ def test_config_bad_keys_are_invalid(tmp_path, capsys, text, word):
     assert "invalid parameters" in err and word in err
 
 
-@pytest.mark.parametrize("argv, N", [
-    (["count", "--kind", "frac_plus", "--N-list", "2e4"], 2e4),
-    (["vdc", "--xi-rule", "0.3", "--levels", "12:14", "--m-max", "2"], 2**14),
-], ids=["count", "vdc"])
-def test_count_solves_each_index_once(tmp_path, monkeypatch, argv, N):
+@pytest.mark.parametrize("argv, bound", [
+    (["count", "--kind", "frac_plus", "--N-list", "2e4"], 1.05 * 2e4),
+    (["vdc", "--xi-rule", "0.3", "--levels", "12:14", "--m-max", "2"],
+     1.05 * 2**14),
+    # one scan serves every xi: the set scan plus one model scan
+    (["expsum-decay", "--N-list", "2e4", "--xi-rule", "golden:2"], 2.1 * 2e4),
+    (["vdc", "--xi-rule", "golden:2", "--levels", "12:14", "--m-max", "2"],
+     1.05 * 2**14),
+], ids=["count", "vdc", "expsum-decay-xis", "vdc-xis"])
+def test_count_solves_each_index_once(tmp_path, monkeypatch, argv, bound):
     points = []
     pair = InverseFn.pair
 
@@ -308,7 +320,7 @@ def test_count_solves_each_index_once(tmp_path, monkeypatch, argv, N):
 
     monkeypatch.setattr(InverseFn, "pair", counting)
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert sum(points) <= 1.05 * N
+    assert sum(points) <= bound
 
 
 def test_jsonl_mirror_matches_csv(tmp_path):

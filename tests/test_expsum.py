@@ -1,12 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from majorantlab import InverseFn, PsiFn, RegVaryFn, SlowlyVaryingSpec
 from majorantlab.expsum import (
-    ExpSumRequest,
     decompose_I,
     delta_from_margin,
     dirichlet_sum,
@@ -24,6 +24,7 @@ from majorantlab.expsum import (
     weighted_inverse_vs_dirichlet,
 )
 from majorantlab.compensated import frac_product
+from majorantlab.trigpoly import fourier_of_measure, measure_mu
 from majorantlab.sparseset import (
     SetSpec,
     SparseSet,
@@ -70,22 +71,21 @@ def full_interval_set(N):
 
 def test_exp_sum_at_zero_counts_members():
     b = bset_xlogx(10**4)
-    s = exp_sum(ExpSumRequest(b, 0.0, "unit"))
-    assert s == complex(len(b))
+    s = exp_sum(b, [0.0])
+    assert s.tolist() == [complex(len(b))]
 
 
 def test_exp_sum_half_parity():
     s = build_floor_set(x15(), 12)
     assert s.members.tolist() == [1, 2, 5, 8, 11]
-    val = exp_sum(ExpSumRequest(s, 0.5, "unit"))
+    val = exp_sum(s, [0.5])[0]
     assert val == pytest.approx(-1.0 + 0.0j, abs=1e-12)
 
 
 def test_exp_sum_triangle_inequality():
     b = bset_xlogx(10**4)
     for w in ("unit", "psi", "psi_inverse"):
-        req = ExpSumRequest(b, golden_xis(1)[0], w)
-        total = abs(exp_sum(req))
+        total = abs(exp_sum(b, golden_xis(1), w)[0])
         cap = np.sum(np.abs(
             np.ones(len(b)) if w == "unit" else
             (b.psi(b.members.astype(float)) if w == "psi"
@@ -96,25 +96,59 @@ def test_exp_sum_triangle_inequality():
 def test_exp_sum_conjugation_symmetry():
     b = bset_xlogx(5000)
     xi = 0.3125  # exactly representable, so is 1 - xi
-    a = exp_sum(ExpSumRequest(b, xi, "unit"))
-    c = exp_sum(ExpSumRequest(b, 1.0 - xi, "unit"))
+    a, c = exp_sum(b, [xi, 1.0 - xi])
     assert a == pytest.approx(np.conj(c), abs=1e-9)
 
 
 def test_psi_inverse_at_zero_near_N():
     N = 10**4
     b = bset_xlogx(N)
-    s = exp_sum(ExpSumRequest(b, 0.0, "psi_inverse"))
+    s = exp_sum(b, [0.0], "psi_inverse")[0]
     assert abs(s.real - N) / N < 0.05
     assert s.imag == 0.0
+
+
+def test_one_scan_per_frequency_vector_is_bitwise_per_xi():
+    # each xi's total is what a call with that xi alone gives, for the
+    # set sums, the psi model and the measure transform alike
+    b = bset_xlogx(3 * 10**4)
+    xis = [0.0, 0.5, float(golden_xis(1)[0]), 0.5]
+    mu = measure_mu(b)
+    for many, one in (
+        (exp_sum(b, xis), lambda xi: exp_sum(b, [xi])),
+        (exp_sum(b, xis, "psi"), lambda xi: exp_sum(b, [xi], "psi")),
+        (model_sum(b.spec.N, xis, "psi", psi=b.psi),
+         lambda xi: model_sum(b.spec.N, [xi], "psi", psi=b.psi)),
+        (fourier_of_measure(mu, xis), lambda xi: fourier_of_measure(mu, [xi])),
+    ):
+        assert many.shape == (len(xis),)
+        assert many.tolist() == [one(xi)[0] for xi in xis]
+    assert exp_sum(b, []).shape == (0,)
+
+
+@pytest.mark.parametrize("args, word", [
+    (([0.2, 1.0], "unit"), "[0, 1)"),
+    (([-0.1], "unit"), "[0, 1)"),
+    (([0.2], "squared"), "unknown weight"),
+])
+def test_exp_sum_rejects_bad_requests(args, word):
+    with pytest.raises(ValueError, match=re.escape(word)):
+        exp_sum(bset_xlogx(2000), *args)
+
+
+def test_exp_sum_non_unit_weight_needs_a_window():
+    floor_set = build_floor_set(x15(), 100)
+    assert exp_sum(floor_set, [0.25]).shape == (1,)
+    with pytest.raises(ValueError, match="window"):
+        exp_sum(floor_set, [0.25], "psi")
 
 
 # -------------------------------------------------------------- model_sum
 
 
 def test_dirichlet_trivial_values():
-    assert model_sum(17, 0.0, "unit") == 17
-    assert model_sum(4, 0.5, "unit") == pytest.approx(0.0, abs=1e-12)
+    assert model_sum(17, [0.0], "unit").tolist() == [17]
+    assert model_sum(4, [0.5], "unit")[0] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("N", [7, 100, 12345])
@@ -131,7 +165,7 @@ def test_psi_model_sum_telescopes():
     phi = InverseFn(h)
     psi = PsiFn(phi)
     N = 10**6
-    got = model_sum(N, 0.0, "psi", psi=psi)
+    got = model_sum(N, [0.0], "psi", psi=psi)[0]
     expected = phi.invert(N + 1.0) - phi.invert(float(psi.n_min))
     assert got.imag == 0.0
     assert got.real == pytest.approx(expected, rel=1e-9)
@@ -144,14 +178,14 @@ def test_psi_model_sum_telescopes():
 
 def test_error_term_at_zero_matches_count_discrepancy():
     b = bset_xlogx(10**5)
-    via_sums = error_term(b, 0.0)
-    plain = abs(len(b) - model_sum(b.spec.N, 0.0, "psi", psi=b.psi).real)
+    via_sums = error_term(b, [0.0])[0]
+    plain = abs(len(b) - model_sum(b.spec.N, [0.0], "psi", psi=b.psi)[0].real)
     assert via_sums == plain
 
 
 def test_error_term_zero_for_full_interval():
     b = full_interval_set(4096)
-    assert error_term(b, 0.37) == 0.0
+    assert error_term(b, [0.37]).tolist() == [0.0]
 
 
 def test_error_term_decays():
@@ -162,13 +196,13 @@ def test_error_term_decays():
     rel = []
     for N in Ns:
         b = build_frac_set(SetSpec("frac_plus", h, h, N))
-        rel.append(error_term(b, xi) / phi.invert(float(N)))
+        rel.append(error_term(b, [xi])[0] / phi.invert(float(N)))
     assert fit_loglog_slope(Ns, rel) < 0
 
 
 def test_weighted_inverse_full_interval():
     b = full_interval_set(2048)
-    assert weighted_inverse_vs_dirichlet(b, 0.5) <= 1e-8
+    assert weighted_inverse_vs_dirichlet(b, [0.5])[0] <= 1e-8
 
 
 def test_weighted_inverse_growth_subzero_exponent():
@@ -177,7 +211,7 @@ def test_weighted_inverse_growth_subzero_exponent():
     devs = []
     for N in Ns:
         b = build_frac_set(SetSpec("frac_plus", h, h, N))
-        devs.append(weighted_inverse_vs_dirichlet(b, 0.0))
+        devs.append(weighted_inverse_vs_dirichlet(b, [0.0])[0])
     assert fit_loglog_slope(Ns, devs) < 1.0
 
 
@@ -287,9 +321,9 @@ def test_vdc_ratio_sweep_bounds_are_lemma1():
 def test_decompose_reconstructs_error_sum():
     h = xlogx()
     b = build_frac_set(SetSpec("frac_plus", h, h, 10**4))
-    for xi in (0.0, 0.5, float(golden_xis(1)[0])):
-        S = (exp_sum(ExpSumRequest(b, xi, "unit"))
-             - model_sum(b.spec.N, xi, "psi", psi=b.psi))
+    xis = [0.0, 0.5, float(golden_xis(1)[0])]
+    errors = exp_sum(b, xis) - model_sum(b.spec.N, xis, "psi", psi=b.psi)
+    for xi, S in zip(xis, errors):
         I1, I2, I3 = decompose_I(b, xi, M=64)
         assert abs(S - I1) <= 2.0 * (I2 + I3) + 1e-9
         assert abs(abs(S) - abs(I1)) <= 2.0 * (I2 + I3) + 1e-9

@@ -61,6 +61,8 @@ def test_fit_slope_single_point_nan():
     assert math.isnan(fit_loglog_slope([10.0], [1.0]))
     # zeros are dropped, leaving one usable point
     assert math.isnan(fit_loglog_slope([10.0, 100.0], [0.0, 1.0]))
+    # two points at one x leave no slope to fit
+    assert math.isnan(fit_loglog_slope([1000, 1000], [0.5, 0.5]))
 
 
 def rows():
