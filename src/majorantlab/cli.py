@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -219,6 +220,8 @@ def _exp_prop2(cfg: ExperimentConfig):
     h1, h2 = _family(cfg.h1), _family(cfg.h2, default_c=1.1)
     base_p = p_threshold(h1.c, h2.c)
     p = base_p if cfg.at_endpoint else base_p + cfg.p_offset
+    if not math.isfinite(p):
+        raise ValueError(f"p-offset {cfg.p_offset} gives p = {p}")
 
     def task(N):
         spec = SetSpec(cfg.kind, h1, h2, int(N), psi_mode=cfg.psi_mode)

@@ -18,14 +18,17 @@ with earliest-restart tie-break):
 * sign patterns: exhaustive when 2^(|A|-1) is small enough, otherwise
   greedy single-flip descent from seeded random patterns (ties between
   equally good flips resolve to the lowest index);
-* phases: gradient ascent on the grid-discretized objective with
-  backtracking line search (Armijo factor 1e-4, halving steps), stopped
-  when the gradient sup-norm drops below 1e-7 times the objective.
+* phases: L-BFGS ascent on the grid-discretized objective (two-loop
+  recursion over the last 8 curvature pairs, steepest ascent when that
+  direction does not ascend) with backtracking line search from the unit
+  step (Armijo factor 1e-4, halving steps), stopped when the gradient
+  sup-norm drops below 1e-7 times the objective.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,7 @@ DEFAULT_RESTARTS = 16          # per family: this many sign + this many phase
 DEFAULT_MAX_ITER = 200
 DEFAULT_BUDGET = 2 * DEFAULT_RESTARTS * DEFAULT_MAX_ITER
 ARMIJO = 1e-4
+LBFGS_MEMORY = 8               # curvature pairs the phase ascent keeps
 GRAD_STOP = 1e-7
 EXHAUSTIVE_SIGN_LIMIT = 12     # 2^(|A|-1) <= 2048: enumeration beats greedy
 GREEDY_SIGN_LIMIT = 256
@@ -76,8 +80,10 @@ class MajorantProblem:
             raise ValueError("A must be nonempty")
         if A[-1] > self.N:
             raise ValueError("max(A) must not exceed N")
-        if self.p < 2:
-            raise ValueError("p must be >= 2")
+        if not (math.isfinite(self.p) and self.p >= 2):
+            raise ValueError(f"p must be finite and >= 2, got {self.p}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
 
 
 @dataclass
@@ -149,14 +155,36 @@ class _GridObjective:
         return F, grad
 
 
-def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
-    """Gradient ascent with backtracking; returns (theta, F, iterations).
+def _two_loop(g, pairs):
+    """The L-BFGS direction H g from the curvature pairs (s, y, 1/s.y),
+    oldest first, with H0 = (s.y / y.y) of the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    s, y, rho = pairs[-1]
+    q /= rho * (y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return q
 
-    One iteration = one accepted (or abandoned) Armijo step; the budget
-    is counted in iterations, matching the problem's budget semantics.
+
+def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
+    """L-BFGS ascent with backtracking; returns (theta, F, iterations).
+
+    The direction is the two-loop recursion over the last LBFGS_MEMORY
+    curvature pairs (s = step, y = gradient decrease), a pair kept only
+    when s.y > 0 beyond roundoff.  The first step, and any step whose
+    direction does not ascend (the memory is then cleared), is steepest
+    ascent scaled by F/|g|^2.  Armijo backtracking starts from the unit
+    step; an accepted trial's grid values feed the gradient, so a step
+    accepted at once costs two FFTs.  One iteration = one accepted (or
+    abandoned) step; the budget is counted in iterations, matching the
+    problem's budget semantics.
     """
     F, g = obj.value_and_grad(theta)
-    step = None
+    pairs = deque(maxlen=LBFGS_MEMORY)
     used = 0
     for _ in range(max_iter):
         if used >= budget_left:
@@ -164,24 +192,29 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
         gnorm = float(np.max(np.abs(g))) if len(g) else 0.0
         if gnorm < GRAD_STOP * max(F, 1e-300):
             break
-        g2 = float(g @ g)
-        eta = 2.0 * step if step is not None else max(F, 1e-300) / g2
+        d = _two_loop(g, pairs) if pairs else g
+        if not pairs or g @ d <= 0.0:
+            pairs.clear()
+            d = g * (max(F, 1e-300) / float(g @ g))
+        slope = float(g @ d)
+        t = 1.0
         accepted = False
         for _ in range(40):
-            trial = theta + eta * g
+            trial = theta + t * d
             vals = obj.values(np.exp(1j * trial))
-            Ft = obj.value_at(vals)
-            if Ft >= F + ARMIJO * eta * g2:
-                theta = trial
-                F = Ft
-                step = eta
+            if obj.value_at(vals) >= F + ARMIJO * t * slope:
                 accepted = True
                 break
-            eta *= 0.5
+            t *= 0.5
         used += 1
         if not accepted:
             break
-        F, g = obj.value_and_grad(theta, vals)
+        F, g_new = obj.value_and_grad(trial, vals)
+        s, y = trial - theta, g - g_new
+        sy = float(s @ y)
+        if sy > 1e-10 * math.sqrt(float(s @ s) * float(y @ y)):
+            pairs.append((s, y, 1.0 / sy))
+        theta, g = trial, g_new
     return theta, F, max(used, 1)
 
 

@@ -105,8 +105,8 @@ def _start_grid(degree: int) -> int:
 def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
             cap: int = GRID_CAP_DEFAULT) -> QuadratureResult:
     """(integral of |P|^p over the torus)^(1/p) by doubling rectangle rule."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     if not 1e-12 <= tol <= 1e-2:
         raise ValueError("tol must lie in [1e-12, 1e-2]")
     if len(P.support) == 0:

@@ -183,14 +183,23 @@ def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
     ["expsum-decay", "--xi-rule", ","],
     ["lemma2", "--xi-rule", ","],
     ["vdc", "--m-max", "0"],
+    ["majorant", "--N-list", "256", "--p", "inf"],
+    ["majorant", "--N-list", "256", "--p", "1e400"],
+    ["majorant", "--N-list", "256", "--p", "nan"],
+    ["prop2", "--levels", "10:10", "--trials", "2", "--p-offset", "inf"],
+    ["prop2", "--levels", "10:10", "--trials", "2", "--p-offset", "nan"],
+    ["majorant", "--N-list", "256", "--budget", "0"],
+    ["majorant", "--N-list", "256", "--budget", "-5"],
 ])
 def test_exit_code_bad_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "invalid parameters" in err and err.count("\n") == 1
-    for flag in ("--xi-rule", "--m-max"):
+    for flag in ("--xi-rule", "--m-max", "--p-offset", "--budget"):
         if flag in argv:
             assert flag[2:] in err
+    if "--p" in argv:
+        assert "p must be finite" in err
 
 
 @pytest.mark.parametrize("outside", [None, "8192"])

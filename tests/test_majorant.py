@@ -5,6 +5,8 @@ import pytest
 
 from majorantlab import AdmissibilityError, CapacityError, RegVaryFn, SlowlyVaryingSpec
 from majorantlab.majorant import (
+    DEFAULT_MAX_ITER,
+    GRAD_STOP,
     MajorantProblem,
     brute_force_constant,
     estimate_constant,
@@ -12,8 +14,9 @@ from majorantlab.majorant import (
     p_threshold,
     uniformity_sweep,
 )
-from majorantlab.majorant import _GridObjective
+from majorantlab.majorant import _GridObjective, _phase_ascent
 from majorantlab.sparseset import SetSpec, build_frac_set
+from majorantlab.sweeps import derive_seed
 
 
 def rng():
@@ -116,6 +119,12 @@ def test_estimate_validates_inputs():
         MajorantProblem(np.array([10]), 5, 3.0)
     with pytest.raises(ValueError):
         MajorantProblem(np.array([1]), 5, 1.5)
+    for p in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="p must be finite"):
+            MajorantProblem(np.array([0, 1, 3]), 3, p)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget"):
+            MajorantProblem(np.array([0, 1, 3]), 3, 3.0, budget=budget)
 
 
 # ----------------------------------------------------------- brute force
@@ -192,6 +201,97 @@ def test_gradient_matches_finite_differences(p):
         fd = (obj.value(np.exp(1j * (theta + e)))
               - obj.value(np.exp(1j * (theta - e)))) / (2 * step)
         assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-12)
+
+
+# ----------------------------------------------------------- phase ascent
+
+
+class _RecordingObjective(_GridObjective):
+    """Records F at every gradient evaluation: the start and each
+    accepted step."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.trace = []
+
+    def value_and_grad(self, theta, vals=None):
+        F, g = super().value_and_grad(theta, vals)
+        self.trace.append(F)
+        return F, g
+
+
+def _xlogx_1024():
+    h = RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
+    A = build_frac_set(SetSpec("frac_plus", h, h, 1024)).members
+    assert len(A) == 192
+    return A
+
+
+def _start(r, size):
+    theta = np.random.default_rng(derive_seed(1, 1000 + r)).uniform(
+        0.0, 2.0 * math.pi, size=size)
+    theta[0] = 0.0
+    return theta
+
+
+@pytest.fixture(scope="module")
+def ascents():
+    """Six seeded random restarts on the x log x set at N = 1024, p = 2.5,
+    run to their own stop: (theta, F, iterations, F trace, ifft calls)."""
+    A = _xlogx_1024()
+    runs = []
+    ifft = np.fft.ifft
+    for r in range(6):
+        obj = _RecordingObjective(A, 2.5)
+        calls = [0]
+
+        def counted(*args, **kw):
+            calls[0] += 1
+            return ifft(*args, **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.fft, "ifft", counted)
+            th, F, used = _phase_ascent(obj, _start(r, len(A)),
+                                        DEFAULT_MAX_ITER, 10**9)
+        runs.append((th, F, used, obj.trace, calls[0]))
+    return A, runs
+
+
+def test_ascent_stops_on_gradient_within_100_iterations(ascents):
+    A, runs = ascents
+    obj = _GridObjective(A, 2.5)
+    for th, F, used, _, _ in runs:
+        assert used <= 100
+        _, g = obj.value_and_grad(th)
+        assert np.max(np.abs(g)) < GRAD_STOP * F
+
+
+def test_ascent_reaches_the_known_optimum(ascents):
+    A, runs = ascents
+    F_ones = _GridObjective(A, 2.5).value(np.ones(len(A)))
+    for _, F, _, _, _ in runs:
+        assert F / F_ones >= 1.0000840
+
+
+def test_ascent_never_decreases(ascents):
+    for _, F, _, trace, _ in ascents[1]:
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
+        assert trace[-1] == F
+
+
+def test_ascent_fft_calls_per_iteration(ascents):
+    runs = ascents[1]
+    calls = sum(run[4] for run in runs)
+    iterations = sum(run[2] for run in runs)
+    assert calls <= 2.25 * iterations
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 17])
+def test_ascent_budget_caps_iterations(k):
+    A = _xlogx_1024()
+    _, _, used = _phase_ascent(_GridObjective(A, 2.5), _start(0, len(A)),
+                               DEFAULT_MAX_ITER, k)
+    assert used <= k
 
 
 # -------------------------------------------------------------- envelope

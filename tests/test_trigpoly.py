@@ -90,6 +90,12 @@ def test_grid_cap_failure_carries_values():
     assert err.value.last is not None
 
 
+@pytest.mark.parametrize("p", [float("inf"), float("-inf"), float("nan")])
+def test_lp_norm_rejects_non_finite_p(p):
+    with pytest.raises(ValueError, match="p must be finite"):
+        lp_norm(TrigPoly([0, 1, 3], [1.0, 1.0, 1.0]), p)
+
+
 def test_empty_polynomial():
     P = TrigPoly(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128))
     assert lp_norm(P, 3.0).value == 0.0
