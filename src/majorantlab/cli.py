@@ -470,6 +470,8 @@ def resolve_config(argv=None) -> ExperimentConfig:
         for name in _H_FLAGS:
             if name + i in flags:
                 tgt["family" if name == "ell" else name] = flags[name + i]
+    if cfg.grid_cap is not None and cfg.grid_cap < 1:
+        raise ValueError(f"--grid-cap (grid_cap) must be >= 1, got {cfg.grid_cap}")
     if "at_endpoint" in flags:
         cfg.at_endpoint = True
     if "N" in flags:

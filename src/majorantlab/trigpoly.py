@@ -1,9 +1,13 @@
 """Trigonometric polynomials on the torus and the discrete restriction pair.
 
-L^p norms are computed by uniform sampling (the periodic rectangle rule)
-with the polynomial evaluated through a zero-padded inverse FFT; the grid
-starts at the smallest power of two >= 8 (D+1) and doubles until the
-value stabilizes.  For even p the rule is exact as soon as the grid
+L^p norms are computed by uniform sampling (the periodic rectangle rule).
+The grid of K points starts at the smallest power of two >= 8 (D+1) and
+doubles until the value stabilizes.  It is sampled as K/M cosets of the
+grid of M points, M the smallest power of two above the degree D: the
+coset at offset r/K is one inverse FFT of length M of the coefficients
+turned by e(n r/K).  Doubling the grid samples only its new odd cosets and
+adds them to the running sum of |P|^p, so every point is computed once and
+no FFT is longer than M.  For even p the rule is exact as soon as the grid
 exceeds p*D points, since |P|^p is itself a trigonometric polynomial of
 degree p*D; the even-p route through iterated coefficient convolution is
 kept as an independent oracle.
@@ -102,9 +106,32 @@ def _start_grid(degree: int) -> int:
     return K
 
 
+def _coset_sampler(support: np.ndarray, coeffs: np.ndarray, M: int):
+    """coset(K, r): sum of coeffs * e(n xi) over the support at
+    xi = j/M + r/K, j < M, as one inverse FFT of length M of the
+    coefficients turned by e(n r/K).  Every n must lie below M, and M must
+    divide K.  The buffers are reused: each call overwrites the values the
+    last one returned."""
+    dense = np.zeros(M, dtype=np.complex128)
+    vals = np.empty(M, dtype=np.complex128)
+
+    def coset(K: int, r: int) -> np.ndarray:
+        turn = ((support * r) % K) / K
+        dense[support] = coeffs * np.exp(2j * np.pi * turn)
+        return np.fft.ifft(dense, norm="forward", out=vals)
+
+    return coset
+
+
 def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
             cap: int = GRID_CAP_DEFAULT) -> QuadratureResult:
-    """(integral of |P|^p over the torus)^(1/p) by doubling rectangle rule."""
+    """(integral of |P|^p over the torus)^(1/p) by doubling rectangle rule.
+
+    The K-point grid is sampled as K/M cosets, one length-M inverse FFT
+    each, M = _start_grid(degree) / 8; a doubling samples only its K/M new
+    odd cosets and adds their |P|^p to the running sum, so every grid
+    point is computed once.  The rule stops on the relative change between
+    successive grids, or at once for even p when K exceeds p * degree."""
     if not (math.isfinite(p) and p >= 1):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     if not 1e-12 <= tol <= 1e-2:
@@ -112,11 +139,19 @@ def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
     if len(P.support) == 0:
         return QuadratureResult(0.0, 0, 0.0)
     K = _start_grid(P.degree)
+    M = K // 8
+    coset = _coset_sampler(P.support, P.coeffs, M)
+    mags = np.empty(M)
+    # |P|^p at j/M + r/K summed over the cosets r sampled so far, per j
+    power = np.zeros(M)
     even = p == int(p) and int(p) % 2 == 0
+    new_cosets = range(8)
     prev = None
     while True:
-        vals = P.grid_values(K)
-        value = float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+        for r in new_cosets:
+            np.abs(coset(K, r), out=mags)
+            power += np.power(mags, p, out=mags)
+        value = float((np.sum(power) / K) ** (1.0 / p))
         if even and K > p * P.degree:
             return QuadratureResult(value, K, 0.0)
         if prev is not None:
@@ -129,6 +164,7 @@ def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
                 last=value, previous=prev)
         prev = value
         K *= 2
+        new_cosets = range(1, K // M, 2)
 
 
 def even_p_oracle(P: TrigPoly, p: int, budget: int = _CONV_BUDGET) -> float:
@@ -238,17 +274,16 @@ def fourier_of_measure(m: DiscreteMeasure, xis) -> np.ndarray:
 
 def fourier_sup_of_difference(m1: DiscreteMeasure,
                               m2: DiscreteMeasure) -> tuple[float, int]:
-    """max of |F(m1 - m2)| on lp_norm's first grid, and that grid's size."""
+    """max of |F(m1 - m2)| on lp_norm's first grid, and that grid's size;
+    the grid is taken as its 8 cosets (`_coset_sampler`)."""
     top = int(max(m1.atoms[-1] if len(m1.atoms) else 0,
                   m2.atoms[-1] if len(m2.atoms) else 0))
     coeff = np.zeros(top + 1, dtype=np.complex128)
     np.add.at(coeff, m1.atoms, m1.masses)
     np.add.at(coeff, m2.atoms, -m2.masses)
     K = _start_grid(top)
-    dense = np.zeros(K, dtype=np.complex128)
-    dense[: top + 1] = coeff
-    vals = np.fft.ifft(dense) * K
-    return float(np.max(np.abs(vals))), K
+    coset = _coset_sampler(np.arange(top + 1), coeff, K // 8)
+    return max(float(np.max(np.abs(coset(K, r)))) for r in range(8)), K
 
 
 # --------------------------------------------------- restriction operators

@@ -190,12 +190,14 @@ def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
     ["prop2", "--levels", "10:10", "--trials", "2", "--p-offset", "nan"],
     ["majorant", "--N-list", "256", "--budget", "0"],
     ["majorant", "--N-list", "256", "--budget", "-5"],
+    ["prop2", "--levels", "10:10", "--grid-cap", "0"],
+    ["prop2", "--levels", "10:10", "--grid-cap", "-5"],
 ])
 def test_exit_code_bad_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "invalid parameters" in err and err.count("\n") == 1
-    for flag in ("--xi-rule", "--m-max", "--p-offset", "--budget"):
+    for flag in ("--xi-rule", "--m-max", "--p-offset", "--budget", "--grid-cap"):
         if flag in argv:
             assert flag[2:] in err
     if "--p" in argv:
@@ -225,6 +227,18 @@ def test_grid_cap_reaches_worker_threads_and_config_file(tmp_path):
     cfg = tmp_path / "cap.ini"
     cfg.write_text("[params]\ngrid_cap = 8192\n")
     assert main(["--config", str(cfg)] + prop2 + ["--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_grid_cap_below_one_in_config_file(tmp_path, capsys, cap):
+    cfg = tmp_path / "cap.ini"
+    cfg.write_text(f"[params]\ngrid_cap = {cap}\n")
+    argv = ["--config", str(cfg), "prop2", "--levels", "10:10", "--out",
+            str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid parameters" in err and err.count("\n") == 1
+    assert "grid_cap" in err
 
 
 def test_exit_code_verify_failure(tmp_path, monkeypatch):

@@ -4,9 +4,13 @@ import pytest
 from majorantlab import ConvergenceError, RegVaryFn, SlowlyVaryingSpec
 from majorantlab.expsum import dirichlet_sum
 from majorantlab.sparseset import SetSpec, build_frac_set
+from majorantlab.sweeps import derive_seed
 from majorantlab.trigpoly import (
+    GRID_CAP_DEFAULT,
     DiscreteMeasure,
+    QuadratureResult,
     TrigPoly,
+    _start_grid,
     apply_extension,
     even_p_oracle,
     fourier_of_measure,
@@ -94,6 +98,71 @@ def test_grid_cap_failure_carries_values():
 def test_lp_norm_rejects_non_finite_p(p):
     with pytest.raises(ValueError, match="p must be finite"):
         lp_norm(TrigPoly([0, 1, 3], [1.0, 1.0, 1.0]), p)
+
+
+def doubling_reference(P, p, tol, cap=GRID_CAP_DEFAULT):
+    """The plain doubling rule: each grid sampled anew by one FFT of its
+    full length, the mean of |P|^p taken over it."""
+    K = _start_grid(P.degree)
+    even = p == int(p) and int(p) % 2 == 0
+    prev = None
+    while True:
+        value = float(np.mean(np.abs(P.grid_values(K)) ** p) ** (1.0 / p))
+        if even and K > p * P.degree:
+            return QuadratureResult(value, K, 0.0)
+        if prev is not None:
+            rel = abs(value - prev) / max(value, 1e-300)
+            if rel < tol:
+                return QuadratureResult(value, K, rel)
+        if 2 * K > cap:
+            raise ConvergenceError("reference did not stabilize",
+                                   last=value, previous=prev)
+        prev = value
+        K *= 2
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.2, 5.0])
+def test_coset_refinement_matches_doubling_reference(p, tol):
+    r = np.random.default_rng(derive_seed(8, int(10 * p)))
+    for size, degree in ((3, 7), (12, 200), (40, 3000)):
+        P = random_poly(r, size=size, degree=degree)
+        got, ref = lp_norm(P, p, tol=tol), doubling_reference(P, p, tol)
+        assert got.grid_size == ref.grid_size
+        assert got.value == pytest.approx(ref.value, rel=1e-13)
+        assert got.refinement_error == pytest.approx(ref.refinement_error,
+                                                     rel=0, abs=1e-13)
+
+
+def test_coset_refinement_capped_matches_doubling_reference():
+    P = random_poly(np.random.default_rng(81), size=12, degree=200)
+    with pytest.raises(ConvergenceError) as got:
+        lp_norm(P, 2.5, tol=1e-12, cap=1 << 13)
+    with pytest.raises(ConvergenceError) as ref:
+        doubling_reference(P, 2.5, 1e-12, cap=1 << 13)
+    assert got.value.last == pytest.approx(ref.value.last, rel=1e-13)
+    assert got.value.previous == pytest.approx(ref.value.previous, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [2.5, 4.0])
+def test_lp_norm_ffts_sample_each_point_once(monkeypatch, p):
+    # every FFT has the length of the smallest grid above the degree, and
+    # together they cover the final grid once
+    P = random_poly(np.random.default_rng(82), size=12, degree=200)
+    lengths = []
+    ifft = np.fft.ifft
+
+    def recording_ifft(a, *args, **kwargs):
+        lengths.append(len(a))
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", recording_ifft)
+    got = lp_norm(P, p, tol=1e-10)
+    M = _start_grid(P.degree) // 8
+    # even p stops on the start grid; p = 2.5 doubles at least once
+    assert len(lengths) == 8 if p == 4.0 else len(lengths) > 8
+    assert set(lengths) == {M}
+    assert sum(lengths) == got.grid_size
 
 
 def test_empty_polynomial():
@@ -207,6 +276,20 @@ def test_mu_minus_nu_sup_decays():
         sup, _ = fourier_sup_of_difference(measure_mu(b), measure_nu(N))
         sups.append(sup)
     assert sups[-1] < sups[0]
+
+
+def test_mu_minus_nu_sup_matches_one_full_grid():
+    # the 8 cosets cover lp_norm's first grid: one FFT of its full length
+    # finds the same maximum
+    N = 2**12
+    mu, nu = measure_mu(bset_xlogx(N)), measure_nu(N)
+    sup, K = fourier_sup_of_difference(mu, nu)
+    assert K == _start_grid(N)
+    dense = np.zeros(K, dtype=np.complex128)
+    np.add.at(dense, mu.atoms, mu.masses)
+    np.add.at(dense, nu.atoms, -nu.masses)
+    assert sup == pytest.approx(np.max(np.abs(np.fft.ifft(dense) * K)),
+                                rel=1e-13)
 
 
 # ------------------------------------------------------------- operators
