@@ -108,12 +108,17 @@ def _levels_list(spec: str) -> list:
 def _sweep(cfg: ExperimentConfig, axis, task, points, key=lambda r: None):
     """The rows of task(x) for every x in axis, in axis order for any
     worker count.  Rows with equal key(row) share one exponent: the
-    log-log slope through points(rows of the group) = (xs, ys)."""
+    log-log slope through points(rows of the group) = (xs, ys).
+
+    A pool starts the tasks largest x first (equal x in axis order), so
+    the longest task is not left to run alone at the end."""
     if cfg.workers <= 1:
         groups = [task(x) for x in axis]
     else:
+        order = sorted(range(len(axis)), key=lambda i: axis[i], reverse=True)
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            groups = list(pool.map(task, axis))
+            futures = {i: pool.submit(task, axis[i]) for i in order}
+            groups = [futures[i].result() for i in range(len(axis))]
     rows = [r for g in groups for r in g]
     for k in dict.fromkeys(map(key, rows)):
         group = [r for r in rows if key(r) == k]
@@ -472,6 +477,8 @@ def resolve_config(argv=None) -> ExperimentConfig:
                 tgt["family" if name == "ell" else name] = flags[name + i]
     if cfg.grid_cap is not None and cfg.grid_cap < 1:
         raise ValueError(f"--grid-cap (grid_cap) must be >= 1, got {cfg.grid_cap}")
+    if cfg.workers < 1:
+        raise ValueError(f"--workers (workers) must be >= 1, got {cfg.workers}")
     if "at_endpoint" in flags:
         cfg.at_endpoint = True
     if "N" in flags:

@@ -112,7 +112,8 @@ class _GridObjective:
         q = idft( |P|^(p-2) conj(P) ) on the same grid,
 
     which matches finite differences of F exactly because both live on
-    the same discretization.
+    the same discretization.  Both transforms run in place on a fresh
+    array: the dense coefficients (norm="forward") and |P|^(p-2) conj(P).
     """
 
     def __init__(self, support: np.ndarray, p: float, K: int | None = None):
@@ -131,26 +132,28 @@ class _GridObjective:
     def values(self, coeffs) -> np.ndarray:
         dense = np.zeros(self.K, dtype=np.complex128)
         dense[self.support] = coeffs
-        return np.fft.ifft(dense) * self.K
+        return np.fft.ifft(dense, norm="forward", out=dense)
 
     def value(self, coeffs) -> float:
-        return self.value_at(self.values(coeffs))
+        return self.measure(coeffs)[2]
 
-    def value_at(self, vals) -> float:
-        """F from the grid values of a coefficient vector."""
+    def measure(self, coeffs):
+        """(grid values, their moduli, F) of a coefficient vector."""
         self.evals += 1
-        return float(np.mean(np.abs(vals) ** self.p))
-
-    def value_and_grad(self, theta, vals=None):
-        """F and dF/dtheta; vals, when known, are the grid values at theta."""
-        coeffs = np.exp(1j * theta)
-        if vals is None:
-            self.evals += 1
-            vals = self.values(coeffs)
+        vals = self.values(coeffs)
         av = np.abs(vals)
-        F = float(np.mean(av ** self.p))
-        w = av ** (self.p - 2.0)
-        q = np.fft.ifft(w * np.conj(vals))
+        return vals, av, float(np.mean(av ** self.p))
+
+    def value_and_grad(self, theta, at=None):
+        """F and dF/dtheta; at, when known, is (coeffs, *measure(coeffs))
+        for coeffs = exp(i theta), as a line search has computed it."""
+        if at is None:
+            coeffs = np.exp(1j * theta)
+            at = (coeffs, *self.measure(coeffs))
+        coeffs, vals, av, F = at
+        q = np.conj(vals)
+        q *= av ** (self.p - 2.0)
+        np.fft.ifft(q, out=q)
         grad = -self.p * np.imag(coeffs * q[self.support])
         return F, grad
 
@@ -178,10 +181,10 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
     when s.y > 0 beyond roundoff.  The first step, and any step whose
     direction does not ascend (the memory is then cleared), is steepest
     ascent scaled by F/|g|^2.  Armijo backtracking starts from the unit
-    step; an accepted trial's grid values feed the gradient, so a step
-    accepted at once costs two FFTs.  One iteration = one accepted (or
-    abandoned) step; the budget is counted in iterations, matching the
-    problem's budget semantics.
+    step; an accepted trial's coefficients, grid values, moduli and F
+    feed the gradient, so a step accepted at once costs two FFTs.  One
+    iteration = one accepted (or abandoned) step; the budget is counted
+    in iterations, matching the problem's budget semantics.
     """
     F, g = obj.value_and_grad(theta)
     pairs = deque(maxlen=LBFGS_MEMORY)
@@ -201,15 +204,16 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
         accepted = False
         for _ in range(40):
             trial = theta + t * d
-            vals = obj.values(np.exp(1j * trial))
-            if obj.value_at(vals) >= F + ARMIJO * t * slope:
+            coeffs = np.exp(1j * trial)
+            vals, av, F_trial = obj.measure(coeffs)
+            if F_trial >= F + ARMIJO * t * slope:
                 accepted = True
                 break
             t *= 0.5
         used += 1
         if not accepted:
             break
-        F, g_new = obj.value_and_grad(trial, vals)
+        F, g_new = obj.value_and_grad(trial, (coeffs, vals, av, F_trial))
         s, y = trial - theta, g - g_new
         sy = float(s @ y)
         if sy > 1e-10 * math.sqrt(float(s @ s) * float(y @ y)):
@@ -275,7 +279,7 @@ def _exhaustive_signs(obj: _GridObjective, n_free: int):
             [np.ones((len(idx), 1)), 1.0 - 2.0 * bits.astype(np.float64)], axis=1)
         dense = np.zeros((len(idx), obj.K), dtype=np.complex128)
         dense[:, obj.support] = pats
-        vals = np.fft.ifft(dense, axis=1) * obj.K
+        vals = np.fft.ifft(dense, axis=1, norm="forward", out=dense)
         F = np.mean(np.abs(vals) ** obj.p, axis=1)
         obj.evals += len(idx)
         k = int(np.argmax(F))
@@ -416,7 +420,7 @@ def brute_force_constant(A, p: float, alphabet: str = "signs", k: int | None = N
                 [np.ones((len(idx), 1), dtype=np.complex128), pats], axis=1)
         dense = np.zeros((len(idx), obj.K), dtype=np.complex128)
         dense[:, A] = pats
-        vals = np.fft.ifft(dense, axis=1) * obj.K
+        vals = np.fft.ifft(dense, axis=1, norm="forward", out=dense)
         F = np.mean(np.abs(vals) ** p, axis=1)
         j = int(np.argmax(F))
         if F[j] > best_F:

@@ -72,7 +72,8 @@ class TrigPoly:
         """P sampled at xi = j/K, j = 0..K-1."""
         if K <= self.degree:
             raise ValueError("grid shorter than the degree aliases the support")
-        return np.fft.ifft(self.dense(K)) * K
+        dense = self.dense(K)
+        return np.fft.ifft(dense, norm="forward", out=dense)
 
     def evaluate(self, xi) -> np.ndarray:
         """Direct evaluation at arbitrary frequencies (compensated phases)."""
@@ -110,15 +111,16 @@ def _coset_sampler(support: np.ndarray, coeffs: np.ndarray, M: int):
     """coset(K, r): sum of coeffs * e(n xi) over the support at
     xi = j/M + r/K, j < M, as one inverse FFT of length M of the
     coefficients turned by e(n r/K).  Every n must lie below M, and M must
-    divide K.  The buffers are reused: each call overwrites the values the
-    last one returned."""
-    dense = np.zeros(M, dtype=np.complex128)
-    vals = np.empty(M, dtype=np.complex128)
+    divide K.  One length-M buffer serves every call: it is zeroed, takes
+    the turned coefficients and is transformed in place, so each call
+    overwrites the values the last one returned."""
+    buf = np.empty(M, dtype=np.complex128)
 
     def coset(K: int, r: int) -> np.ndarray:
         turn = ((support * r) % K) / K
-        dense[support] = coeffs * np.exp(2j * np.pi * turn)
-        return np.fft.ifft(dense, norm="forward", out=vals)
+        buf.fill(0.0)
+        buf[support] = coeffs * np.exp(2j * np.pi * turn)
+        return np.fft.ifft(buf, norm="forward", out=buf)
 
     return coset
 

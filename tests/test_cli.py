@@ -1,11 +1,14 @@
 import csv
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from majorantlab import InverseFn, TrigPoly, expsum, load_set, lp_norm
-from majorantlab.cli import main
+from majorantlab.cli import ExperimentConfig, _per_row, _sweep, main
+from majorantlab.sweeps import SweepResult
 from majorantlab.verify import (
     VerifyReport,
     CheckResult,
@@ -192,12 +195,15 @@ def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
     ["majorant", "--N-list", "256", "--budget", "-5"],
     ["prop2", "--levels", "10:10", "--grid-cap", "0"],
     ["prop2", "--levels", "10:10", "--grid-cap", "-5"],
+    ["count", "--N-list", "1e3", "--workers", "0"],
+    ["count", "--N-list", "1e3", "--workers", "-2"],
 ])
 def test_exit_code_bad_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "invalid parameters" in err and err.count("\n") == 1
-    for flag in ("--xi-rule", "--m-max", "--p-offset", "--budget", "--grid-cap"):
+    for flag in ("--xi-rule", "--m-max", "--p-offset", "--budget", "--grid-cap",
+                 "--workers"):
         if flag in argv:
             assert flag[2:] in err
     if "--p" in argv:
@@ -241,6 +247,19 @@ def test_grid_cap_below_one_in_config_file(tmp_path, capsys, cap):
     assert "grid_cap" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_in_config_file(tmp_path, capsys, workers):
+    cfg = tmp_path / "workers.ini"
+    cfg.write_text(f"[params]\nworkers = {workers}\n")
+    argv = ["--config", str(cfg), "count", "--N-list", "1e3", "--out",
+            str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid parameters" in err and err.count("\n") == 1
+    assert "workers" in err
+    assert not (tmp_path / "count.csv").exists()
+
+
 def test_exit_code_verify_failure(tmp_path, monkeypatch):
     import majorantlab.cli as cli_mod
 
@@ -263,6 +282,26 @@ def test_byte_identical_outputs_same_seed(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert rows_without_timing(a / "expsum-decay.csv") == \
         rows_without_timing(b / "expsum-decay.csv")
+
+
+def test_sweep_starts_largest_tasks_first():
+    lock = threading.Lock()
+    started = []
+
+    def task(N):
+        with lock:
+            started.append(N)
+        time.sleep(0.05)
+        return [SweepResult(experiment="count", quantity="q", value=float(N),
+                            params={"N": N})]
+
+    axis = [1000, 3000, 1000, 8000]
+    rows = _sweep(ExperimentConfig(experiment="count", workers=2), axis, task,
+                  _per_row(lambda r: r.value))
+    assert set(started[:2]) == {3000, 8000}
+    assert sorted(started) == sorted(axis)
+    assert [r.params["N"] for r in rows] == axis
+    assert all(r.exponent == pytest.approx(1.0) for r in rows)
 
 
 def test_identical_across_worker_counts(tmp_path):

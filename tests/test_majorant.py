@@ -203,6 +203,35 @@ def test_gradient_matches_finite_differences(p):
         assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [2.5, 4.2])
+def test_grid_objective_values_equal_scaled_backward_ifft(p):
+    r = rng()
+    A = random_set(r, 40, 3000)
+    obj = _GridObjective(A, p)
+    coeffs = np.exp(1j * r.uniform(0, 2 * math.pi, size=len(A)))
+    dense = np.zeros(obj.K, dtype=np.complex128)
+    dense[A] = coeffs
+    assert np.array_equal(obj.values(coeffs), np.fft.ifft(dense) * obj.K)
+
+
+@pytest.mark.parametrize("p", [2.5, 4.2])
+def test_gradient_from_trial_values_equals_gradient_from_scratch(p):
+    r = rng()
+    A = random_set(r, 40, 3000)
+    obj = _GridObjective(A, p)
+    theta = r.uniform(0, 2 * math.pi, size=len(A))
+    coeffs = np.exp(1j * theta)
+    F, g = obj.value_and_grad(theta, (coeffs, *obj.measure(coeffs)))
+    F0, g0 = _GridObjective(A, p).value_and_grad(theta)
+    assert F == F0
+    assert np.array_equal(g, g0)
+    # the gradient against the former out-of-place transform
+    vals = obj.values(coeffs)
+    av = np.abs(vals)
+    q = np.fft.ifft(av ** (p - 2.0) * np.conj(vals))
+    assert np.array_equal(g0, -p * np.imag(coeffs * q[A]))
+
+
 # ----------------------------------------------------------- phase ascent
 
 
@@ -214,8 +243,8 @@ class _RecordingObjective(_GridObjective):
         super().__init__(*args)
         self.trace = []
 
-    def value_and_grad(self, theta, vals=None):
-        F, g = super().value_and_grad(theta, vals)
+    def value_and_grad(self, theta, at=None):
+        F, g = super().value_and_grad(theta, at)
         self.trace.append(F)
         return F, g
 

@@ -10,6 +10,7 @@ from majorantlab.trigpoly import (
     DiscreteMeasure,
     QuadratureResult,
     TrigPoly,
+    _coset_sampler,
     _start_grid,
     apply_extension,
     even_p_oracle,
@@ -163,6 +164,25 @@ def test_lp_norm_ffts_sample_each_point_once(monkeypatch, p):
     assert len(lengths) == 8 if p == 4.0 else len(lengths) > 8
     assert set(lengths) == {M}
     assert sum(lengths) == got.grid_size
+
+
+def test_coset_sampler_matches_out_of_place_ifft():
+    # one buffer serves every call; each coset still equals a fresh
+    # out-of-place transform of its turned coefficients
+    P = random_poly(np.random.default_rng(83), size=40, degree=3000)
+    M = _start_grid(P.degree) // 8
+    coset = _coset_sampler(P.support, P.coeffs, M)
+    for K, r in ((8 * M, 0), (8 * M, 3), (32 * M, 17), (8 * M, 3)):
+        dense = np.zeros(M, dtype=np.complex128)
+        turn = ((P.support * r) % K) / K
+        dense[P.support] = P.coeffs * np.exp(2j * np.pi * turn)
+        assert np.array_equal(coset(K, r), np.fft.ifft(dense, norm="forward"))
+
+
+@pytest.mark.parametrize("K", [1 << 8, 1 << 12, 1 << 16])
+def test_grid_values_equal_scaled_backward_ifft(K):
+    P = random_poly(np.random.default_rng(84), size=40, degree=200)
+    assert np.array_equal(P.grid_values(K), np.fft.ifft(P.dense(K)) * K)
 
 
 def test_empty_polynomial():
