@@ -1,11 +1,11 @@
 """Experiment driver: argument/config parsing, task dispatch, and emission.
 
 Subcommands: count, expsum-decay, vdc, lemma2, prop2, majorant,
-thresholds, verify.  Every experiment decomposes into independent tasks
-executed by a stateless worker pool; results are gathered and sorted by
-task index before anything is written, so the output is identical for
-any worker count.  Randomness always flows from the single master seed
-through the published per-task derivation.
+thresholds, verify.  Every experiment but thresholds and verify is a
+sweep of independent tasks run by sweeps.sweep on --workers threads;
+rows are gathered in task order before anything is written, so the
+output is identical for any worker count.  Randomness always flows from
+the single master seed through the published per-task derivation.
 
 Exit codes: 0 success, 2 invalid parameters (flags, config file or
 function parameters), 3 capacity/budget exceeded (a work cap, or a
@@ -19,7 +19,6 @@ import argparse
 import configparser
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,14 +30,7 @@ from .expsum import error_term, vdc_ratio_sweep, weighted_inverse_vs_dirichlet
 from .majorant import DEFAULT_BUDGET, p_threshold, uniformity_sweep
 from .rvfunc import InverseFn, PsiFn, RegVaryFn
 from .sparseset import SetSpec, build_frac_set, build_set
-from .sweeps import (
-    StopWatch,
-    SweepResult,
-    fit_loglog_slope,
-    write_csv,
-    write_jsonl,
-    xi_grid,
-)
+from .sweeps import SweepResult, per_row, sweep, write_csv, write_jsonl, xi_grid
 from .trigpoly import (
     GRID_CAP_DEFAULT,
     fourier_sup_of_difference,
@@ -105,34 +97,6 @@ def _levels_list(spec: str) -> list:
     return levels
 
 
-def _sweep(cfg: ExperimentConfig, axis, task, points, key=lambda r: None):
-    """The rows of task(x) for every x in axis, in axis order for any
-    worker count.  Rows with equal key(row) share one exponent: the
-    log-log slope through points(rows of the group) = (xs, ys).
-
-    A pool starts the tasks largest x first (equal x in axis order), so
-    the longest task is not left to run alone at the end."""
-    if cfg.workers <= 1:
-        groups = [task(x) for x in axis]
-    else:
-        order = sorted(range(len(axis)), key=lambda i: axis[i], reverse=True)
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {i: pool.submit(task, axis[i]) for i in order}
-            groups = [futures[i].result() for i in range(len(axis))]
-    rows = [r for g in groups for r in g]
-    for k in dict.fromkeys(map(key, rows)):
-        group = [r for r in rows if key(r) == k]
-        slope = fit_loglog_slope(*points(group))
-        for r in group:
-            r.exponent = slope
-    return rows
-
-
-def _per_row(y):
-    """points() pairing every row's N with y(row), repeated N included."""
-    return lambda rows: ([r.params["N"] for r in rows], [y(r) for r in rows])
-
-
 # ------------------------------------------------------------ experiments
 
 
@@ -141,29 +105,29 @@ def _exp_count(cfg: ExperimentConfig):
     phi2 = InverseFn(h2)
 
     def task(N):
-        with StopWatch() as sw:
-            built = build_set(SetSpec(cfg.kind, h1, h2, int(N),
-                                      psi_mode=cfg.psi_mode))
+        built = build_set(SetSpec(cfg.kind, h1, h2, int(N),
+                                  psi_mode=cfg.psi_mode))
         if cfg.set_out and N == max(cfg.N_list):
             built.save(cfg.set_out)
         ref = phi2.invert(float(N))
         return [SweepResult(
             experiment="count", quantity="cardinality_ratio",
             value=float(len(built)), reference=ref,
-            ratio=len(built) / ref, wall_ms=sw.ms, seed=cfg.seed,
+            ratio=len(built) / ref, seed=cfg.seed,
             borderline_count=built.borderline_count,
             params={"N": int(N), "kind": cfg.kind, "h1": h1.to_kv(),
                     "h2": h2.to_kv(), "psi_mode": cfg.psi_mode},
         )]
 
-    return _sweep(cfg, cfg.N_list, task, _per_row(lambda r: abs(r.ratio - 1.0)))
+    return sweep(cfg.N_list, task, per_row(lambda r: abs(r.ratio - 1.0)),
+                 workers=cfg.workers)
 
 
 def _exp_per_xi(cfg: ExperimentConfig, quantity, measure, reference, y, params):
     """measure(bset, xis), one value per xi of the grid, on the set of
     every N, reported against reference(phi2, N); the rows of one xi
     share the slope of y(row) against N.  params(h1, h2) adds row
-    columns, and wall_ms is the time of the N's one measure call."""
+    columns."""
     h1, h2 = _family(cfg.h1), _family(cfg.h2)
     xis = xi_grid(cfg.xi_rule, seed=cfg.seed)
     phi2 = InverseFn(h2)
@@ -173,17 +137,16 @@ def _exp_per_xi(cfg: ExperimentConfig, quantity, measure, reference, y, params):
         bset = build_frac_set(SetSpec(cfg.kind, h1, h2, int(N),
                                       psi_mode=cfg.psi_mode))
         ref = reference(phi2, N)
-        with StopWatch() as sw:
-            values = measure(bset, xis)
+        values = measure(bset, xis)
         return [SweepResult(
             experiment=cfg.experiment, quantity=quantity, value=float(v),
-            reference=ref, ratio=float(v) / ref, wall_ms=sw.ms, seed=cfg.seed,
+            reference=ref, ratio=float(v) / ref, seed=cfg.seed,
             borderline_count=bset.borderline_count,
             params={"N": int(N), "xi": float(xi), **extra},
         ) for xi, v in zip(xis, values)]
 
-    return _sweep(cfg, cfg.N_list, task, _per_row(y),
-                  key=lambda r: r.params["xi"])
+    return sweep(cfg.N_list, task, per_row(y), key=lambda r: r.params["xi"],
+                 workers=cfg.workers)
 
 
 def _exp_expsum_decay(cfg: ExperimentConfig):
@@ -218,7 +181,7 @@ def _exp_vdc(cfg: ExperimentConfig):
 
     # one task: one scan of the index range serves the whole grid
     xis = xi_grid(cfg.xi_rule, seed=cfg.seed)
-    return _sweep(cfg, [xis], task, level_max)
+    return sweep([xis], task, level_max, workers=cfg.workers)
 
 
 def _exp_prop2(cfg: ExperimentConfig):
@@ -231,29 +194,27 @@ def _exp_prop2(cfg: ExperimentConfig):
     def task(N):
         spec = SetSpec(cfg.kind, h1, h2, int(N), psi_mode=cfg.psi_mode)
         bset = build_frac_set(spec)
-        with StopWatch() as sw:
-            ratios = restriction_ratios(bset, p, trials=cfg.trials,
-                                        seed=cfg.seed, tol=cfg.tol, cap=cfg.cap)
-            sup, grid = fourier_sup_of_difference(
-                measure_mu(bset), measure_nu(int(N)))
+        ratios = restriction_ratios(bset, p, trials=cfg.trials,
+                                    seed=cfg.seed, tol=cfg.tol, cap=cfg.cap)
+        sup, grid = fourier_sup_of_difference(
+            measure_mu(bset), measure_nu(int(N)))
         return [
             SweepResult(
                 experiment="prop2", quantity="restriction_ratio_max",
-                value=float(max(ratios)), wall_ms=sw.ms,
+                value=float(max(ratios)),
                 seed=cfg.seed, borderline_count=bset.borderline_count,
                 params={"N": int(N), "p": p, "trials": cfg.trials,
                         "set_size": len(bset)},
             ),
             SweepResult(
                 experiment="prop2", quantity="mu_nu_fourier_sup",
-                value=sup, reference=None, ratio=None, wall_ms=sw.ms,
-                seed=cfg.seed,
+                value=sup, reference=None, ratio=None, seed=cfg.seed,
                 params={"N": int(N), "p": p, "grid": grid},
             ),
         ]
 
-    return _sweep(cfg, _levels_list(cfg.levels), task,
-                  _per_row(lambda r: r.value), key=lambda r: r.quantity)
+    return sweep(_levels_list(cfg.levels), task, per_row(lambda r: r.value),
+                 key=lambda r: r.quantity, workers=cfg.workers)
 
 
 def _exp_majorant(cfg: ExperimentConfig):
@@ -271,13 +232,13 @@ def _exp_majorant(cfg: ExperimentConfig):
 
     rows, estimates = uniformity_sweep(
         build, cfg.p, cfg.N_list, budget=cfg.budget, seed=cfg.seed,
-        method=cfg.method, tol=max(cfg.tol, 1e-9), cap=cfg.cap)
+        method=cfg.method, tol=max(cfg.tol, 1e-9), cap=cfg.cap,
+        workers=cfg.workers)
     if cfg.coeffs_out:
-        largest = int(np.argmax(cfg.N_list))
-        members = build(int(cfg.N_list[largest])).members
+        best = estimates[int(np.argmax(cfg.N_list))]
         with open(cfg.coeffs_out, "w") as fh:
             fh.write("# n, re(a_n), im(a_n)\n")
-            for n, a in zip(members, estimates[largest].argmax_coeffs):
+            for n, a in zip(best.support, best.argmax_coeffs):
                 fh.write(f"{n},{float(a.real)!r},{float(a.imag)!r}\n")
     return rows
 

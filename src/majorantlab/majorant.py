@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, CapacityError
 from .sparseset import SparseSet
-from .sweeps import StopWatch, SweepResult, derive_seed, fit_loglog_slope
+from .sweeps import SweepResult, derive_seed, per_row, sweep
 from .trigpoly import GRID_CAP_DEFAULT, TrigPoly, lower_bound_lowfreq, lp_norm
 
 DEFAULT_RESTARTS = 16          # per family: this many sign + this many phase
@@ -64,6 +64,17 @@ def p_threshold(c1: float, c2: float) -> float:
     return 2.0 + (12.0 - 12.0 / c2) / den
 
 
+def _support(A) -> np.ndarray:
+    """A (a SparseSet or integers) as an int64 array, checked to be a
+    nonempty, strictly increasing run of nonnegative frequencies."""
+    A = A.members if isinstance(A, SparseSet) else np.asarray(A, dtype=np.int64)
+    if len(A) == 0:
+        raise ValueError("A must be nonempty")
+    if A[0] < 0 or np.any(A[1:] <= A[:-1]):
+        raise ValueError("A must be strictly increasing and nonnegative")
+    return A
+
+
 @dataclass(frozen=True)
 class MajorantProblem:
     A: np.ndarray
@@ -73,11 +84,8 @@ class MajorantProblem:
     seed: int = 0
 
     def __post_init__(self):
-        A = (self.A.members if isinstance(self.A, SparseSet)
-             else np.asarray(self.A, dtype=np.int64))
+        A = _support(self.A)
         object.__setattr__(self, "A", A)
-        if len(A) == 0:
-            raise ValueError("A must be nonempty")
         if A[-1] > self.N:
             raise ValueError("max(A) must not exceed N")
         if not (math.isfinite(self.p) and self.p >= 2):
@@ -88,10 +96,13 @@ class MajorantProblem:
 
 @dataclass
 class MajorantEstimate:
-    """A feasible maximizer: `value` is a lower estimate of the supremum."""
+    """A feasible maximizer: `value` is a lower estimate of the supremum,
+    reached by the coefficients `argmax_coeffs` on the frequencies
+    `support`."""
 
     value: float
     argmax_coeffs: np.ndarray
+    support: np.ndarray
     method: str
     trials: int
     norm_tol: float
@@ -369,7 +380,7 @@ def estimate_constant(prob: MajorantProblem, method: str = "both",
                         tol=max(tol, 1e-12), cap=cap).value / base
         if ratio > value:
             value, best_method, best_coeffs = ratio, meth, coeffs
-    return MajorantEstimate(value=value, argmax_coeffs=best_coeffs,
+    return MajorantEstimate(value=value, argmax_coeffs=best_coeffs, support=A,
                             method=best_method, trials=trials,
                             norm_tol=tol, budget_exhausted=exhausted)
 
@@ -392,7 +403,7 @@ def brute_force_constant(A, p: float, alphabet: str = "signs", k: int | None = N
     first coefficient is pinned to 1 by default; fix_global_phase=False
     enumerates all positions (for testing that the quotient is lossless).
     """
-    A = np.asarray(A, dtype=np.int64)
+    A = _support(A)
     if alphabet == "phase_grid":
         if k is None or k < 1:
             raise ValueError("phase_grid needs k")
@@ -429,7 +440,7 @@ def brute_force_constant(A, p: float, alphabet: str = "signs", k: int | None = N
     base = lp_norm(TrigPoly(A, np.ones(len(A), dtype=np.complex128)), p,
                    tol=max(tol, 1e-12)).value
     top = lp_norm(TrigPoly(A, best), p, tol=max(tol, 1e-12)).value
-    return MajorantEstimate(value=top / base, argmax_coeffs=best,
+    return MajorantEstimate(value=top / base, argmax_coeffs=best, support=A,
                             method="brute_force", trials=count, norm_tol=tol)
 
 
@@ -453,38 +464,41 @@ def hy_envelope(A, N: int, p: float) -> float:
 
 def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGET,
                      seed: int = 0, method: str = "both", tol: float = 1e-9,
-                     cap: int = GRID_CAP_DEFAULT
+                     cap: int = GRID_CAP_DEFAULT, workers: int = 1
                      ) -> tuple[list[SweepResult], list[MajorantEstimate]]:
     """Constant estimates across N with a shared optimizer budget.
 
-    build_set_fn(N) -> SparseSet.  Returns one row and one estimate per
-    entry of N_list, in its order.  The no-growth verdict is the fitted
-    log-log slope of the estimates, attached to every row; each row also
-    carries the running maximum and the a priori envelope.
+    build_set_fn(N) -> SparseSet.  One sweeps.sweep task per entry of
+    N_list builds its set and estimates its constant, with the seed
+    derive_seed(seed, position) whatever the worker count.  Returns one
+    row and one estimate per entry of N_list, in its order.  The
+    no-growth verdict is the fitted log-log slope of the estimates,
+    attached to every row; each row also carries the running maximum
+    over the rows up to it and the a priori envelope.
     """
-    rows = []
-    estimates = []
-    running = -math.inf
-    for i, N in enumerate(N_list):
-        with StopWatch() as sw:
-            bset = build_set_fn(int(N))
-            prob = MajorantProblem(bset.members, int(N), p, budget=budget,
-                                   seed=derive_seed(seed, i))
-            est = estimate_constant(prob, method=method, tol=tol, cap=cap)
-            env = hy_envelope(bset.members, int(N), p)
-        running = max(running, est.value)
-        estimates.append(est)
-        rows.append(SweepResult(
+    estimates = {}
+
+    def task(N_i):
+        N, i = N_i
+        bset = build_set_fn(N)
+        prob = MajorantProblem(bset.members, N, p, budget=budget,
+                               seed=derive_seed(seed, i))
+        est = estimates[i] = estimate_constant(prob, method=method, tol=tol,
+                                               cap=cap)
+        env = hy_envelope(bset.members, N, p)
+        return [SweepResult(
             experiment="majorant", quantity="majorant_lower_estimate",
             value=est.value, reference=env, ratio=est.value / env,
-            wall_ms=sw.ms, seed=prob.seed,
-            borderline_count=bset.borderline_count,
-            params={"N": int(N), "p": p, "set_size": len(bset),
+            seed=prob.seed, borderline_count=bset.borderline_count,
+            params={"N": N, "p": p, "set_size": len(bset),
                     "method": est.method, "trials": est.trials,
-                    "running_max": running,
                     "budget_exhausted": est.budget_exhausted},
-        ))
-    slope = fit_loglog_slope(list(N_list), [e.value for e in estimates])
+        )]
+
+    rows = sweep([(int(N), i) for i, N in enumerate(N_list)], task,
+                 per_row(lambda r: r.value), workers=workers)
+    running = -math.inf
     for r in rows:
-        r.exponent = slope
-    return rows, estimates
+        running = max(running, r.value)
+        r.params["running_max"] = running
+    return rows, [estimates[i] for i in range(len(N_list))]

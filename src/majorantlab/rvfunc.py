@@ -224,32 +224,29 @@ class RegVaryFn:
             if check:
                 self._validate_domain_start()
 
-    def _validate_domain_start(self):
-        grid = np.exp(np.linspace(np.log(self.x0), np.log(max(1e12, 16 * self.x0)), 96))
+    def _increasing_convex_from(self, x0) -> bool:
+        """Whether h is finite and positive, h' > 0 and h'' >= 0 on a
+        96-point log-spaced probe grid from x0 to max(1e12, 16 x0)."""
+        grid = np.exp(np.linspace(np.log(x0), np.log(max(1e12, 16 * x0)), 96))
         with np.errstate(all="ignore"):
             d0 = self._deriv_raw(grid, 0)
             d1 = self._deriv_raw(grid, 1)
             d2 = self._deriv_raw(grid, 2)
+        # h'' is assembled from terms of size ~ h/x^2, so "nonnegative"
+        # means nonnegative up to that roundoff scale
         floor = -1e-13 * np.abs(d0) / grid**2
-        ok = (np.isfinite(d0).all() and np.isfinite(d1).all()
-              and np.isfinite(d2).all() and (d0 > 0).all()
-              and (d1 > 0).all() and (d2 >= floor).all())
-        if not ok:
+        return bool(np.isfinite(d0).all() and np.isfinite(d1).all()
+                    and np.isfinite(d2).all() and (d0 > 0).all()
+                    and (d1 > 0).all() and (d2 >= floor).all())
+
+    def _validate_domain_start(self):
+        if not self._increasing_convex_from(self.x0):
             raise ValueError(f"h is not increasing and convex from x0={self.x0}")
 
     def _find_x0(self) -> float:
         x0 = self.ell.x0
         for _ in range(40):
-            grid = np.exp(np.linspace(np.log(x0), np.log(max(1e12, 16 * x0)), 96))
-            with np.errstate(all="ignore"):
-                d0 = self._deriv_raw(grid, 0)
-                d1 = self._deriv_raw(grid, 1)
-                d2 = self._deriv_raw(grid, 2)
-            # h'' is assembled from terms of size ~ h/x^2, so "nonnegative"
-            # means nonnegative up to that roundoff scale
-            floor = -1e-13 * np.abs(d0) / grid**2
-            if (np.isfinite(d1).all() and np.isfinite(d2).all()
-                    and (d1 > 0).all() and (d2 >= floor).all()):
+            if self._increasing_convex_from(x0):
                 return x0
             x0 *= 2.0
         raise ValueError("no domain start with h increasing and convex found")

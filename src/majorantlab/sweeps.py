@@ -1,10 +1,12 @@
-"""Sweep rows, decay-exponent fits, frequency grids, seeds, and emission.
+"""The sweep driver, sweep rows, decay-exponent fits, frequency grids,
+seeds, and emission.
 
-Every experiment in the package reports its measurements as SweepResult
-rows sharing one CSV / JSON-lines schema, so outputs from different
-subcommands can be concatenated and post-processed uniformly.  Rows are
-self-describing: the parameter columns carry everything needed to re-run
-the row.
+Every sweep in the package runs through `sweep`, which times its tasks
+and fits their exponents.  Every experiment reports its measurements as
+SweepResult rows sharing one CSV / JSON-lines schema, so outputs from
+different subcommands can be concatenated and post-processed uniformly.
+Rows are self-describing: the parameter columns carry everything needed
+to re-run the row.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,28 +101,57 @@ def fit_loglog_slope(x, y) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-class StopWatch:
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
+def sweep(axis, task, points, key=lambda r: None, workers: int = 1):
+    """The rows of task(x) for every x in axis, in axis order for any
+    worker count; every row's wall_ms is the time of the task that
+    returned it.  Rows with equal key(row) share one exponent: the
+    log-log slope through points(rows of the group) = (xs, ys).
 
-    def __exit__(self, *exc):
-        self.ms = (time.perf_counter() - self._t0) * 1e3
-        return False
+    With workers > 1 a thread pool starts the tasks largest x first
+    (equal x in axis order), so the longest task is not left to run
+    alone at the end."""
+    def timed(x):
+        t0 = time.perf_counter()
+        rows = task(x)
+        ms = (time.perf_counter() - t0) * 1e3
+        for r in rows:
+            r.wall_ms = ms
+        return rows
+
+    if workers <= 1:
+        groups = [timed(x) for x in axis]
+    else:
+        order = sorted(range(len(axis)), key=lambda i: axis[i], reverse=True)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = {i: pool.submit(timed, axis[i]) for i in order}
+            groups = [futures[i].result() for i in range(len(axis))]
+    rows = [r for g in groups for r in g]
+    for k in dict.fromkeys(map(key, rows)):
+        group = [r for r in rows if key(r) == k]
+        slope = fit_loglog_slope(*points(group))
+        for r in group:
+            r.exponent = slope
+    return rows
+
+
+def per_row(y):
+    """points() for sweep: every row's N paired with y(row), repeated N
+    included."""
+    return lambda rows: ([r.params["N"] for r in rows], [y(r) for r in rows])
 
 
 # ------------------------------------------------------------- emission
 
 
+def _plain(v):
+    """v, or the Python scalar a numpy scalar v holds."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
 def _fmt(v) -> str:
+    v = _plain(v)
     if v is None:
         return ""
-    if isinstance(v, np.floating):
-        v = float(v)
-    elif isinstance(v, np.integer):
-        v = int(v)
-    elif isinstance(v, np.bool_):
-        v = bool(v)
     if isinstance(v, float):
         if math.isnan(v):
             return "nan"
@@ -154,12 +186,7 @@ def write_csv(path, results, config_echo: dict | None = None):
 
 
 def _json_safe(v):
-    if isinstance(v, np.floating):
-        v = float(v)
-    elif isinstance(v, np.integer):
-        v = int(v)
-    elif isinstance(v, np.bool_):
-        v = bool(v)
+    v = _plain(v)
     if isinstance(v, float) and math.isnan(v):
         return None
     return v

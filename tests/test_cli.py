@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from majorantlab import InverseFn, TrigPoly, expsum, load_set, lp_norm
-from majorantlab.cli import ExperimentConfig, _per_row, _sweep, main
-from majorantlab.sweeps import SweepResult
+from majorantlab.cli import main
+from majorantlab.sweeps import SweepResult, per_row, sweep
 from majorantlab.verify import (
     VerifyReport,
     CheckResult,
@@ -296,21 +296,74 @@ def test_sweep_starts_largest_tasks_first():
                             params={"N": N})]
 
     axis = [1000, 3000, 1000, 8000]
-    rows = _sweep(ExperimentConfig(experiment="count", workers=2), axis, task,
-                  _per_row(lambda r: r.value))
+    rows = sweep(axis, task, per_row(lambda r: r.value), workers=2)
     assert set(started[:2]) == {3000, 8000}
     assert sorted(started) == sorted(axis)
     assert [r.params["N"] for r in rows] == axis
     assert all(r.exponent == pytest.approx(1.0) for r in rows)
+    assert all(r.wall_ms >= 50 for r in rows)
 
 
-def test_identical_across_worker_counts(tmp_path):
-    base = ["count", "--N-list", "1e3,3e3,1e4,3e4", "--seed", "4"]
+def recording_builds(monkeypatch):
+    """The N of every set the CLI builds, in the order the builds start."""
+    import majorantlab.cli as cli_mod
+
+    lock = threading.Lock()
+    started = []
+    real = cli_mod.build_frac_set
+
+    def recording(spec):
+        with lock:
+            started.append(spec.N)
+        time.sleep(0.05)
+        return real(spec)
+
+    monkeypatch.setattr(cli_mod, "build_frac_set", recording)
+    return started
+
+
+def test_majorant_starts_largest_tasks_first(tmp_path, monkeypatch):
+    started = recording_builds(monkeypatch)
+    assert main(["majorant", "--N-list", "256,1024,512,2048", "--p", "2.5",
+                 "--budget", "20", "--seed", "3", "--workers", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert set(started[:2]) == {1024, 2048}
+    rows = read_rows(tmp_path / "majorant.csv")
+    assert [int(r["N"]) for r in rows] == [256, 1024, 512, 2048]
+
+
+def test_majorant_coeffs_out_builds_each_set_once(tmp_path, monkeypatch):
+    started = recording_builds(monkeypatch)
+    assert main(["majorant", "--N-list", "512,256", "--p", "2.5",
+                 "--budget", "20", "--seed", "3", "--out", str(tmp_path),
+                 "--coeffs-out", str(tmp_path / "coeffs.csv")]) == 0
+    assert sorted(started) == [256, 512]
+
+
+def test_vdc_rows_share_their_task_time(tmp_path):
+    assert main(["vdc", "--m-max", "2", "--levels", "10:11",
+                 "--xi-rule", "0.0,0.5", "--out", str(tmp_path)]) == 0
+    times = {float(r["wall_ms"]) for r in read_rows(tmp_path / "vdc.csv")}
+    assert len(times) == 1 and times.pop() > 0
+
+
+@pytest.mark.parametrize("argv, sidecar", [
+    (["count", "--N-list", "1e3,3e3,1e4,3e4", "--seed", "4"], False),
+    (["majorant", "--N-list", "256,1024,512", "--p", "2.5", "--budget", "40",
+      "--seed", "4"], True),
+], ids=["count", "majorant"])
+def test_identical_across_worker_counts(tmp_path, argv, sidecar):
     one, many = tmp_path / "w1", tmp_path / "w8"
-    assert main(base + ["--workers", "1", "--out", str(one)]) == 0
-    assert main(base + ["--workers", "8", "--out", str(many)]) == 0
-    assert rows_without_timing(one / "count.csv") == \
-        rows_without_timing(many / "count.csv")
+    for workers, out in (("1", one), ("8", many)):
+        extra = ["--coeffs-out", str(out / "coeffs.csv")] if sidecar else []
+        assert main(argv + ["--workers", workers, "--out", str(out)]
+                    + extra) == 0
+    csv_name = f"{argv[0]}.csv"
+    assert rows_without_timing(one / csv_name) == \
+        rows_without_timing(many / csv_name)
+    if sidecar:
+        assert (one / "coeffs.csv").read_bytes() == \
+            (many / "coeffs.csv").read_bytes()
 
 
 def test_config_echo_and_file(tmp_path):

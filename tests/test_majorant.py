@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +104,7 @@ def test_c3_exceeds_one_and_matches_brute_force():
     bf = brute_force_constant([0, 1, 3], 3.0, "signs")
     assert bf.value > 1.0005
     assert est.value == pytest.approx(bf.value, abs=1e-6)
+    assert est.support.tolist() == bf.support.tolist() == [0, 1, 3]
 
 
 def test_budget_exhaustion_flagged_not_fatal():
@@ -125,6 +127,15 @@ def test_estimate_validates_inputs():
     for budget in (0, -5):
         with pytest.raises(ValueError, match="budget"):
             MajorantProblem(np.array([0, 1, 3]), 3, 3.0, budget=budget)
+
+
+@pytest.mark.parametrize("A", [[300, 1], [0, 1, 1], [-1, 0, 3]],
+                         ids=["unsorted", "repeated", "negative"])
+def test_support_must_be_increasing_and_nonnegative(A):
+    with pytest.raises(ValueError, match="strictly increasing and nonnegative"):
+        MajorantProblem(np.array(A), 512, 2.5)
+    with pytest.raises(ValueError, match="strictly increasing and nonnegative"):
+        brute_force_constant(A, 3.0, "signs")
 
 
 # ----------------------------------------------------------- brute force
@@ -362,6 +373,8 @@ def test_uniformity_sweep_small():
     rows, estimates = uniformity_sweep(build, 2.5, [2**8, 2**9, 2**10],
                                        budget=400, seed=42)
     assert [e.value for e in estimates] == [r.value for r in rows]
+    for e, r in zip(estimates, rows):
+        assert np.array_equal(e.support, build(r.params["N"]).members)
     assert len(rows) == 3
     running = [r.params["running_max"] for r in rows]
     assert running == sorted(running)
@@ -372,3 +385,26 @@ def test_uniformity_sweep_small():
     again, _ = uniformity_sweep(build, 2.5, [2**8, 2**9, 2**10],
                                 budget=400, seed=42)
     assert [r.value for r in rows] == [r.value for r in again]
+
+
+def test_uniformity_sweep_on_threads_matches_serial():
+    h = RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
+
+    def build(N):
+        return build_frac_set(SetSpec("frac_plus", h, h, N))
+
+    N_list = [2**8, 2**9, 2**8, 2**10, 2**9, 2**8]
+    serial_rows, serial = uniformity_sweep(build, 2.5, N_list, budget=20, seed=5)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows, threaded = uniformity_sweep(build, 2.5, N_list, budget=20, seed=5,
+                                          workers=4)
+    finally:
+        sys.setswitchinterval(switch)
+    assert [r.params["N"] for r in rows] == N_list
+    assert [r.seed for r in rows] == [derive_seed(5, i) for i in range(6)]
+    for a, b, ra, rb in zip(serial, threaded, serial_rows, rows):
+        assert a.value == b.value and ra.params == rb.params
+        assert np.array_equal(a.argmax_coeffs, b.argmax_coeffs)
+        assert np.array_equal(a.support, b.support)
