@@ -59,7 +59,6 @@ class ExperimentConfig:
     seed: int = 0
     tol: float = 1e-8
     grid_cap: int | None = None
-    method: str = "both"
     workers: int = 1
     fmt: str = "both"
     out_dir: str = "."
@@ -232,8 +231,7 @@ def _exp_majorant(cfg: ExperimentConfig):
 
     rows, estimates = uniformity_sweep(
         build, cfg.p, cfg.N_list, budget=cfg.budget, seed=cfg.seed,
-        method=cfg.method, tol=max(cfg.tol, 1e-9), cap=cfg.cap,
-        workers=cfg.workers)
+        tol=max(cfg.tol, 1e-9), cap=cfg.cap, workers=cfg.workers)
     if cfg.coeffs_out:
         best = estimates[int(np.argmax(cfg.N_list))]
         with open(cfg.coeffs_out, "w") as fh:
@@ -302,7 +300,6 @@ _FLAGS = {
     "--p": {"type": float},
     "--N": {"type": int},
     "--budget": {"type": int},
-    "--method": {"type": str, "choices": ("signs", "phase", "both")},
     "--coeffs-out": {"type": str},
     "--at-endpoint": {"action": "store_true"},
     "--level": {"type": str, "choices": ("quick", "full")},
@@ -320,8 +317,8 @@ EXPERIMENTS = {
     "prop2": (_exp_prop2,
               (*_H, "--levels", "--trials", "--p-offset", "--at-endpoint")),
     "majorant": (_exp_majorant,
-                 (*_H, "--N-list", "--p", "--N", "--budget", "--method",
-                  "--coeffs-out", "--at-endpoint")),
+                 (*_H, "--N-list", "--p", "--N", "--budget", "--coeffs-out",
+                  "--at-endpoint")),
     "thresholds": (_exp_thresholds, _H),
     "verify": (_exp_verify, ("--level",)),
 }
@@ -352,13 +349,21 @@ def run(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------- parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a flag error as ValueError, so main reports it in one line
+    like every other invalid parameter; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for flag, kw in _GLOBAL_FLAGS.items():
         # SUPPRESS keeps a subparser from clobbering a flag that was
         # already given before the subcommand name
         common.add_argument(flag, default=argparse.SUPPRESS, **kw)
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="majorantlab",
         parents=[common],
         description="Numerical experiments on sparse-set exponential sums "
@@ -384,17 +389,18 @@ def _config_from_file(path: str) -> dict:
     out: dict = {"h1": {}, "h2": {}}
     for section in cp.sections():
         items = dict(cp.items(section))
-        if section in ("h1", "h2"):
-            unknown = sorted(set(items) - set(_H_KEYS))
-            if unknown:
-                raise ValueError(f"unknown key(s) {', '.join(unknown)} in "
-                                 f"[{section}]; known: {', '.join(_H_KEYS)}")
-            out[section].update(items)
-        else:
+        h_section = section in ("h1", "h2")
+        if not h_section:
             lowered = {k.lower(): v for k, v in items.items()}
             if len(lowered) < len(items):
                 raise ValueError(f"a key is given twice in [{section}]")
-            out.update(lowered)
+            items = lowered
+        known = _H_KEYS if h_section else _FILE_KEYS
+        unknown = sorted(set(items) - set(known))
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(unknown)} in "
+                             f"[{section}]; known: {', '.join(known)}")
+        (out[section] if h_section else out).update(items)
     return out
 
 
@@ -414,9 +420,12 @@ def _parse_n_list(text: str) -> list:
 _KEYS = {"out": str, "seed": int, "workers": int, "fmt": str, "tol": float,
          "grid_cap": int, "psi_mode": str, "kind": str, "xi_rule": str,
          "m_max": int, "levels": str, "trials": int, "p_offset": float,
-         "p": float, "budget": int, "method": str, "set_out": str,
+         "p": float, "budget": int, "set_out": str,
          "coeffs_out": str, "level": str, "n_list": _parse_n_list}
 _FIELDS = {"out": "out_dir", "n_list": "N_list"}
+# the keys a config file may hold outside [h1]/[h2]; `name` labels the
+# file's experiment and is not read
+_FILE_KEYS = ("name", *_KEYS)
 
 
 def resolve_config(argv=None) -> ExperimentConfig:

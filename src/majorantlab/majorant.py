@@ -15,9 +15,8 @@ Search strategy (defaults follow the package-wide reproducibility
 conventions: a master seed, derived per-restart seeds, max reduction
 with earliest-restart tie-break):
 
-* sign patterns: exhaustive when 2^(|A|-1) is small enough, otherwise
-  greedy single-flip descent from seeded random patterns (ties between
-  equally good flips resolve to the lowest index);
+* all ones: the reference polynomial itself, ratio 1;
+* sign patterns: all of them, when 2^(|A|-1) is small enough;
 * phases: L-BFGS ascent on the grid-discretized objective (two-loop
   recursion over the last 8 curvature pairs, steepest ascent when that
   direction does not ascend) with backtracking line search from the unit
@@ -38,14 +37,14 @@ from .sparseset import SparseSet
 from .sweeps import SweepResult, derive_seed, per_row, sweep
 from .trigpoly import GRID_CAP_DEFAULT, TrigPoly, lower_bound_lowfreq, lp_norm
 
-DEFAULT_RESTARTS = 16          # per family: this many sign + this many phase
+DEFAULT_RESTARTS = 16          # phase ascents per estimate
 DEFAULT_MAX_ITER = 200
+# twice what the default restarts can spend: it never cuts an ascent short
 DEFAULT_BUDGET = 2 * DEFAULT_RESTARTS * DEFAULT_MAX_ITER
 ARMIJO = 1e-4
 LBFGS_MEMORY = 8               # curvature pairs the phase ascent keeps
 GRAD_STOP = 1e-7
-EXHAUSTIVE_SIGN_LIMIT = 12     # 2^(|A|-1) <= 2048: enumeration beats greedy
-GREEDY_SIGN_LIMIT = 256
+EXHAUSTIVE_SIGN_LIMIT = 12     # 2^(|A|-1) <= 2048 patterns: cheap to enumerate
 BRUTE_FORCE_BUDGET = 1 << 31
 
 
@@ -98,7 +97,11 @@ class MajorantProblem:
 class MajorantEstimate:
     """A feasible maximizer: `value` is a lower estimate of the supremum,
     reached by the coefficients `argmax_coeffs` on the frequencies
-    `support`."""
+    `support`.
+
+    `method` names the candidate that won: `all_ones`, `signs_exhaustive`
+    or `phase_gradient` from estimate_constant, `brute_force` from
+    brute_force_constant.  `trials` counts the candidates scored."""
 
     value: float
     argmax_coeffs: np.ndarray
@@ -115,8 +118,9 @@ class MajorantEstimate:
 class _GridObjective:
     """F(coeffs) = (1/K) sum_j |P(j/K)|^p on a fixed power-of-two grid.
 
-    Both the sign search and the phase ascent optimize this surrogate;
-    the winner is re-measured with the adaptive quadrature afterwards.
+    The sign enumeration and the phase ascent rank candidates by this
+    surrogate; their winners are re-measured with the adaptive quadrature
+    afterwards.
     The analytic gradient with respect to coefficient phases is
 
         dF/dtheta_n = -p * Im( a_n * conj(q)_n ),
@@ -144,9 +148,6 @@ class _GridObjective:
         dense = np.zeros(self.K, dtype=np.complex128)
         dense[self.support] = coeffs
         return np.fft.ifft(dense, norm="forward", out=dense)
-
-    def value(self, coeffs) -> float:
-        return self.measure(coeffs)[2]
 
     def measure(self, coeffs):
         """(grid values, their moduli, F) of a coefficient vector."""
@@ -233,50 +234,6 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
     return theta, F, max(used, 1)
 
 
-def _greedy_sign_search(obj: _GridObjective, signs, budget_left):
-    """Best-improvement single flips until a local maximum.
-
-    One iteration = one full pass over the flip candidates (all |A|
-    norms, evaluated in blocks).  Ties between equally improving flips
-    go to the lowest index via the first-argmax convention.
-    """
-    signs = signs.astype(np.float64).copy()
-    V = obj.values(signs)
-    p = obj.p
-    K = obj.K
-    F = float(np.mean(np.abs(V) ** p))
-    used = 0
-    j_over_K = np.arange(K) / K
-    E_full = None
-    if len(signs) * K <= (1 << 22):
-        E_full = np.exp(2j * np.pi * np.outer(obj.support, j_over_K))
-    improved = True
-    while improved and used < budget_left:
-        improved = False
-        used += 1
-        best_gain = 0.0
-        best_idx = -1
-        best_vals = None
-        for blk in range(0, len(signs), 32):
-            idx = np.arange(blk, min(blk + 32, len(signs)))
-            E = (E_full[idx] if E_full is not None
-                 else np.exp(2j * np.pi * np.outer(obj.support[idx], j_over_K)))
-            cand = V[None, :] - 2.0 * signs[idx, None] * E
-            Fc = np.mean(np.abs(cand) ** p, axis=1)
-            obj.evals += len(idx)
-            k = int(np.argmax(Fc))
-            if Fc[k] > F + best_gain:
-                best_gain = float(Fc[k] - F)
-                best_idx = int(idx[k])
-                best_vals = cand[k].copy()
-        if best_idx >= 0 and best_gain > 0:
-            F += best_gain
-            V = best_vals
-            signs[best_idx] = -signs[best_idx]
-            improved = True
-    return signs, F, max(used, 1)
-
-
 def _exhaustive_signs(obj: _GridObjective, n_free: int):
     """All sign patterns with the first coefficient pinned to +1."""
     count = 1 << n_free
@@ -300,82 +257,56 @@ def _exhaustive_signs(obj: _GridObjective, n_free: int):
     return best, best_F, count
 
 
-def estimate_constant(prob: MajorantProblem, method: str = "both",
-                      tol: float = 1e-9,
+def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
                       restarts: int = DEFAULT_RESTARTS,
                       max_iter: int = DEFAULT_MAX_ITER,
                       cap: int = GRID_CAP_DEFAULT) -> MajorantEstimate:
     """Maximize ||sum a_n e(n.)||_p / ||sum e(n.)||_p over |a_n| = 1.
 
-    method: 'signs', 'phase', or 'both'.  The all-ones choice is always
-    a candidate, so the result is never below 1 up to the norm tolerance.
-    Restarts draw their seeds from the problem seed in order; the best
-    objective wins, earlier restarts winning ties.  `cap` is the grid cap
-    of the quadratures that re-measure the finalists.
+    The all-ones choice is always a candidate, of ratio 1, so the result
+    is never below 1.  Every sign pattern is scored when |A| - 1 <=
+    EXHAUSTIVE_SIGN_LIMIT.  Then up to `restarts` phase ascents run while
+    the budget lasts: restart 0 from theta = 0, restart r from angles
+    drawn with derive_seed(seed, 1000 + r); the best objective wins,
+    earlier restarts winning ties.  `cap` is the grid cap of the
+    quadratures that re-measure the finalists.
     """
-    if method not in ("signs", "phase", "both"):
-        raise ValueError(f"unknown method {method!r}")
     A = prob.A
     obj = _GridObjective(A, prob.p)
     ones = np.ones(len(A), dtype=np.complex128)
-    candidates = [(obj.value(ones), "signs_local_search", ones)]
-    used = 1
-    trials = 1
+    finalists = []
+    # the all-ones candidate counts as one trial and one unit of budget
+    used = trials = 1
     exhausted = False
 
-    if method in ("signs", "both"):
-        if len(A) - 1 <= EXHAUSTIVE_SIGN_LIMIT:
-            pat, F, count = _exhaustive_signs(obj, len(A) - 1)
-            candidates.append((F, "signs_local_search", pat.astype(np.complex128)))
-            trials += count
-            used += 1
-        else:
-            for r in range(restarts):
-                if used >= prob.budget:
-                    exhausted = True
-                    break
-                rng = np.random.default_rng(derive_seed(prob.seed, r))
-                signs = 1.0 - 2.0 * rng.integers(0, 2, size=len(A)).astype(np.float64)
-                signs[0] = 1.0
-                if r == 0:
-                    signs[:] = 1.0
-                if len(A) <= GREEDY_SIGN_LIMIT:
-                    pat, F, spent = _greedy_sign_search(
-                        obj, signs, prob.budget - used)
-                else:
-                    # flip passes over thousands of coordinates are not
-                    # affordable; score the pattern as a bare candidate
-                    pat, F, spent = signs, obj.value(signs.astype(np.complex128)), 1
-                candidates.append((F, "signs_local_search", pat.astype(np.complex128)))
-                used += spent
-                trials += 1
+    if len(A) - 1 <= EXHAUSTIVE_SIGN_LIMIT:
+        pat, _, count = _exhaustive_signs(obj, len(A) - 1)
+        finalists.append(("signs_exhaustive", pat.astype(np.complex128)))
+        trials += count
+        used += 1
 
-    if method in ("phase", "both"):
-        for r in range(restarts):
-            if used >= prob.budget:
-                exhausted = True
-                break
-            rng = np.random.default_rng(derive_seed(prob.seed, 1000 + r))
-            theta = (np.zeros(len(A)) if r == 0
-                     else rng.uniform(0.0, 2.0 * math.pi, size=len(A)))
-            theta[0] = 0.0
-            th, F, spent = _phase_ascent(obj, theta, max_iter, prob.budget - used)
-            candidates.append((F, "phase_gradient", np.exp(1j * th)))
-            used += spent
-            trials += 1
+    best_F, best_theta = -math.inf, None
+    for r in range(restarts):
+        if used >= prob.budget:
+            exhausted = True
+            break
+        rng = np.random.default_rng(derive_seed(prob.seed, 1000 + r))
+        theta = (np.zeros(len(A)) if r == 0
+                 else rng.uniform(0.0, 2.0 * math.pi, size=len(A)))
+        theta[0] = 0.0
+        th, F, spent = _phase_ascent(obj, theta, max_iter, prob.budget - used)
+        if F > best_F:
+            best_F, best_theta = F, th
+        used += spent
+        trials += 1
+    if best_theta is not None:
+        finalists.append(("phase_gradient", np.exp(1j * best_theta)))
 
     # the grid objective only ranks; re-measure the best candidate of each
-    # method with the adaptive quadrature and let the true values decide
-    finalists = {}
-    for F, meth, coeffs in candidates:
-        if meth not in finalists or F > finalists[meth][0]:
-            finalists[meth] = (F, coeffs)
+    # search with the adaptive quadrature and let the true values decide
     base = lp_norm(TrigPoly(A, ones), prob.p, tol=max(tol, 1e-12), cap=cap).value
-    value, best_method, best_coeffs = 1.0, "signs_local_search", ones
-    for meth in ("signs_local_search", "phase_gradient"):
-        if meth not in finalists:
-            continue
-        coeffs = finalists[meth][1]
+    value, best_method, best_coeffs = 1.0, "all_ones", ones
+    for meth, coeffs in finalists:
         ratio = lp_norm(TrigPoly(A, coeffs), prob.p,
                         tol=max(tol, 1e-12), cap=cap).value / base
         if ratio > value:
@@ -463,7 +394,7 @@ def hy_envelope(A, N: int, p: float) -> float:
 
 
 def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGET,
-                     seed: int = 0, method: str = "both", tol: float = 1e-9,
+                     seed: int = 0, tol: float = 1e-9,
                      cap: int = GRID_CAP_DEFAULT, workers: int = 1
                      ) -> tuple[list[SweepResult], list[MajorantEstimate]]:
     """Constant estimates across N with a shared optimizer budget.
@@ -483,8 +414,7 @@ def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGE
         bset = build_set_fn(N)
         prob = MajorantProblem(bset.members, N, p, budget=budget,
                                seed=derive_seed(seed, i))
-        est = estimates[i] = estimate_constant(prob, method=method, tol=tol,
-                                               cap=cap)
+        est = estimates[i] = estimate_constant(prob, tol=tol, cap=cap)
         env = hy_envelope(bset.members, N, p)
         return [SweepResult(
             experiment="majorant", quantity="majorant_lower_estimate",

@@ -321,8 +321,7 @@ def check_even_p_exactness(n_sets=5, Ns=(10**4,)):
 def check_c3_phenomenon():
     """Criterion 7: at p = 3 signs on {0, 1, 3} beat 1, as found by search."""
     bf = brute_force_constant([0, 1, 3], 3.0, "signs")
-    est = estimate_constant(MajorantProblem(np.array([0, 1, 3]), 3, 3.0, seed=1),
-                            method="signs")
+    est = estimate_constant(MajorantProblem(np.array([0, 1, 3]), 3, 3.0, seed=1))
     gap = abs(est.value - bf.value)
     return bf.value >= 1.0005 and gap <= 1e-6, (
         f"brute force = {bf.value:.6f} on {{0,1,3}}, |estimate - bf| = {gap:.2e}")

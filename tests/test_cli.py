@@ -197,6 +197,7 @@ def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
     ["prop2", "--levels", "10:10", "--grid-cap", "-5"],
     ["count", "--N-list", "1e3", "--workers", "0"],
     ["count", "--N-list", "1e3", "--workers", "-2"],
+    ["majorant", "--N-list", "256", "--method", "phase"],
 ])
 def test_exit_code_bad_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -406,6 +407,8 @@ def test_config_h_keys_keep_their_case(tmp_path):
 @pytest.mark.parametrize("text,word", [
     ("[h1]\nfamily = log_power\nb = 3.0\n", "key(s) b in [h1]"),
     ("[params]\nseed = 1\nSEED = 2\n", "twice"),
+    ("[params]\nmetod = signs\n", "key(s) metod in [params]"),
+    ("[params]\nmethod = phase\n", "key(s) method in [params]"),
 ])
 def test_config_bad_keys_are_invalid(tmp_path, capsys, text, word):
     cfg = tmp_path / "exp.ini"

@@ -47,7 +47,6 @@ trials = 4
 p_offset = 0.25
 p = 3.5
 budget = 99
-method = signs
 fmt = jsonl
 level = full
 """

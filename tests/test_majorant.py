@@ -100,11 +100,24 @@ def test_even_p_never_exceeds_one():
 
 def test_c3_exceeds_one_and_matches_brute_force():
     prob = MajorantProblem(np.array([0, 1, 3]), 3, 3.0, seed=2)
-    est = estimate_constant(prob, method="signs")
+    est = estimate_constant(prob)
     bf = brute_force_constant([0, 1, 3], 3.0, "signs")
     assert bf.value > 1.0005
     assert est.value == pytest.approx(bf.value, abs=1e-6)
     assert est.support.tolist() == bf.support.tolist() == [0, 1, 3]
+
+
+def test_all_ones_is_labelled_when_nothing_beats_it():
+    # 60 members: too many to enumerate signs, and at p = 3 no phase
+    # restart beats the all-ones polynomial
+    h = RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
+    A = build_frac_set(SetSpec("frac_plus", h, h, 256)).members
+    assert len(A) == 60
+    est = estimate_constant(MajorantProblem(A, 256, 3.0, seed=1), restarts=4)
+    assert est.value == 1.0
+    assert est.method == "all_ones"
+    assert est.trials == 1 + 4
+    assert np.array_equal(est.argmax_coeffs, np.ones(len(A)))
 
 
 def test_budget_exhaustion_flagged_not_fatal():
@@ -189,8 +202,7 @@ def test_phase_ascent_dominates_fourth_roots():
     r = rng()
     for trial in range(3):
         A = random_set(r, 8, 40)
-        est = estimate_constant(MajorantProblem(A, 40, 3.0, seed=5 + trial),
-                                method="phase")
+        est = estimate_constant(MajorantProblem(A, 40, 3.0, seed=5 + trial))
         bf = brute_force_constant(A, 3.0, "fourth_roots")
         assert est.value >= bf.value - 1e-6
 
@@ -209,8 +221,8 @@ def test_gradient_matches_finite_differences(p):
     for i in range(0, len(A), 5):
         e = np.zeros_like(theta)
         e[i] = step
-        fd = (obj.value(np.exp(1j * (theta + e)))
-              - obj.value(np.exp(1j * (theta - e)))) / (2 * step)
+        fd = (obj.measure(np.exp(1j * (theta + e)))[2]
+              - obj.measure(np.exp(1j * (theta - e)))[2]) / (2 * step)
         assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
 
@@ -308,7 +320,7 @@ def test_ascent_stops_on_gradient_within_100_iterations(ascents):
 
 def test_ascent_reaches_the_known_optimum(ascents):
     A, runs = ascents
-    F_ones = _GridObjective(A, 2.5).value(np.ones(len(A)))
+    F_ones = _GridObjective(A, 2.5).measure(np.ones(len(A)))[2]
     for _, F, _, _, _ in runs:
         assert F / F_ones >= 1.0000840
 
@@ -385,6 +397,19 @@ def test_uniformity_sweep_small():
     again, _ = uniformity_sweep(build, 2.5, [2**8, 2**9, 2**10],
                                 budget=400, seed=42)
     assert [r.value for r in rows] == [r.value for r in again]
+
+
+def test_uniformity_check_defaults_reach_above_one():
+    # verify.check_uniformity's sweep: its whole budget of 200 goes to
+    # the phase ascent, which lifts N = 2^9 above the all-ones value
+    h = RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
+    rows, _ = uniformity_sweep(
+        lambda N: build_frac_set(SetSpec("frac_plus", h, h, N)), 2.5,
+        [2**8, 2**9, 2**10, 2**11], budget=200, seed=77)
+    values = [r.value for r in rows]
+    assert min(values) >= 1.0
+    assert values[1] > 1 + 1e-5
+    assert rows[1].params["method"] == "phase_gradient"
 
 
 def test_uniformity_sweep_on_threads_matches_serial():
