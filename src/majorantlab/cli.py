@@ -424,7 +424,7 @@ _KEYS = {"out": str, "seed": int, "workers": int, "fmt": str, "tol": float,
          "coeffs_out": str, "level": str, "n_list": _parse_n_list}
 _FIELDS = {"out": "out_dir", "n_list": "N_list"}
 # the keys a config file may hold outside [h1]/[h2]; `name` labels the
-# file's experiment and is not read
+# file's experiment and must equal the subcommand
 _FILE_KEYS = ("name", *_KEYS)
 
 
@@ -433,6 +433,10 @@ def resolve_config(argv=None) -> ExperimentConfig:
              if v is not None}
     file_cfg = (_config_from_file(flags["config"]) if "config" in flags
                 else {"h1": {}, "h2": {}})
+    if file_cfg.get("name", flags["experiment"]) != flags["experiment"]:
+        raise ValueError(f"the config file names experiment "
+                         f"{file_cfg['name']!r}, the subcommand is "
+                         f"{flags['experiment']!r}")
     cfg = ExperimentConfig(experiment=flags["experiment"],
                            h1=file_cfg["h1"], h2=file_cfg["h2"])
     given = {**file_cfg, **flags}

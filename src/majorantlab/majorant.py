@@ -35,7 +35,8 @@ import numpy as np
 from .errors import AdmissibilityError, CapacityError
 from .sparseset import SparseSet
 from .sweeps import SweepResult, derive_seed, per_row, sweep
-from .trigpoly import GRID_CAP_DEFAULT, TrigPoly, lower_bound_lowfreq, lp_norm
+from .trigpoly import (GRID_CAP_DEFAULT, TrigPoly, _grid_dft,
+                       lower_bound_lowfreq, lp_norm)
 
 DEFAULT_RESTARTS = 16          # phase ascents per estimate
 DEFAULT_MAX_ITER = 200
@@ -123,12 +124,16 @@ class _GridObjective:
     afterwards.
     The analytic gradient with respect to coefficient phases is
 
-        dF/dtheta_n = -p * Im( a_n * conj(q)_n ),
-        q = idft( |P|^(p-2) conj(P) ) on the same grid,
+        dF/dtheta_n = -p * Im( a_n * q_n ),
+        q_n = (1/K) sum_j |P(j/K)|^(p-2) conj(P(j/K)) e(n j/K),
 
     which matches finite differences of F exactly because both live on
-    the same discretization.  Both transforms run in place on a fresh
-    array: the dense coefficients (norm="forward") and |P|^(p-2) conj(P).
+    the same discretization.  Both transforms are those of
+    `trigpoly._grid_dft`: `values` for P, `at_support` for q.  An
+    evaluation takes one power: s = |P|^2 = re^2 + im^2,
+    w = s^((p-2)/2) and F = sum(w s)/K, and the gradient reuses w.  The
+    grid buffers of P, s, w and q are allocated once per objective, so
+    `measure` returns views that its next call overwrites.
     """
 
     def __init__(self, support: np.ndarray, p: float, K: int | None = None):
@@ -143,18 +148,23 @@ class _GridObjective:
                 K *= 2
         self.K = K
         self.evals = 0
-
-    def values(self, coeffs) -> np.ndarray:
-        dense = np.zeros(self.K, dtype=np.complex128)
-        dense[self.support] = coeffs
-        return np.fft.ifft(dense, norm="forward", out=dense)
+        self.values, self._at_support = _grid_dft(self.support, K)
+        self._s = np.empty(K)
+        self._w = np.empty(K)
+        self._q = np.empty(K, dtype=np.complex128)
 
     def measure(self, coeffs):
-        """(grid values, their moduli, F) of a coefficient vector."""
+        """(grid values, |P|^(p-2) on the grid, F) of a coefficient
+        vector; both arrays are views that the next call overwrites."""
         self.evals += 1
         vals = self.values(coeffs)
-        av = np.abs(vals)
-        return vals, av, float(np.mean(av ** self.p))
+        s, w = self._s, self._w
+        np.multiply(vals.real, vals.real, out=s)
+        np.multiply(vals.imag, vals.imag, out=w)
+        s += w
+        np.power(s, 0.5 * (self.p - 2.0), out=w)
+        s *= w
+        return vals, w, float(np.sum(s) / self.K)
 
     def value_and_grad(self, theta, at=None):
         """F and dF/dtheta; at, when known, is (coeffs, *measure(coeffs))
@@ -162,11 +172,10 @@ class _GridObjective:
         if at is None:
             coeffs = np.exp(1j * theta)
             at = (coeffs, *self.measure(coeffs))
-        coeffs, vals, av, F = at
-        q = np.conj(vals)
-        q *= av ** (self.p - 2.0)
-        np.fft.ifft(q, out=q)
-        grad = -self.p * np.imag(coeffs * q[self.support])
+        coeffs, vals, w, F = at
+        q = np.conjugate(vals, out=self._q)
+        q *= w
+        grad = (-self.p / self.K) * np.imag(coeffs * self._at_support(q))
         return F, grad
 
 
@@ -193,8 +202,8 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
     when s.y > 0 beyond roundoff.  The first step, and any step whose
     direction does not ascend (the memory is then cleared), is steepest
     ascent scaled by F/|g|^2.  Armijo backtracking starts from the unit
-    step; an accepted trial's coefficients, grid values, moduli and F
-    feed the gradient, so a step accepted at once costs two FFTs.  One
+    step; an accepted trial's coefficients, grid values, |P|^(p-2) and F
+    feed the gradient, so a step accepted at once costs two transforms.  One
     iteration = one accepted (or abandoned) step; the budget is counted
     in iterations, matching the problem's budget semantics.
     """
@@ -217,7 +226,7 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
         for _ in range(40):
             trial = theta + t * d
             coeffs = np.exp(1j * trial)
-            vals, av, F_trial = obj.measure(coeffs)
+            vals, w, F_trial = obj.measure(coeffs)
             if F_trial >= F + ARMIJO * t * slope:
                 accepted = True
                 break
@@ -225,7 +234,7 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
         used += 1
         if not accepted:
             break
-        F, g_new = obj.value_and_grad(trial, (coeffs, vals, av, F_trial))
+        F, g_new = obj.value_and_grad(trial, (coeffs, vals, w, F_trial))
         s, y = trial - theta, g - g_new
         sy = float(s @ y)
         if sy > 1e-10 * math.sqrt(float(s @ s) * float(y @ y)):

@@ -4,13 +4,16 @@ L^p norms are computed by uniform sampling (the periodic rectangle rule).
 The grid of K points starts at the smallest power of two >= 8 (D+1) and
 doubles until the value stabilizes.  It is sampled as K/M cosets of the
 grid of M points, M the smallest power of two above the degree D: the
-coset at offset r/K is one inverse FFT of length M of the coefficients
+coset at offset r/K is one length-M inverse DFT of the coefficients
 turned by e(n r/K).  Doubling the grid samples only its new odd cosets and
-adds them to the running sum of |P|^p, so every point is computed once and
-no FFT is longer than M.  For even p the rule is exact as soon as the grid
-exceeds p*D points, since |P|^p is itself a trigonometric polynomial of
-degree p*D; the even-p route through iterated coefficient convolution is
-kept as an independent oracle.
+adds them to the running sum of |P|^p, so every point is computed once.
+A length-M DFT is one FFT of length M below SPLIT_AT points; from SPLIT_AT
+on it is split into FFTs of lengths M1 and M2 = M/M1 on an (M1, M2) array,
+M1 about sqrt(M), which keep to the cache where one FFT of length M does
+not (`_grid_dft`; the phase ascent of `majorant` uses the same transform).
+For even p the rule is exact as soon as the grid exceeds p*D points, since
+|P|^p is itself a trigonometric polynomial of degree p*D; the even-p route
+through iterated coefficient convolution is kept as an independent oracle.
 
 The measures mu_N (atoms on a sparse set, masses 1/(N psi(n))) and nu_N
 (uniform on [1, N]) drive the extension operator f -> F(f mu) and its
@@ -35,6 +38,11 @@ from .sweeps import derive_seed
 DEGREE_CAP = 1 << 23
 GRID_CAP_DEFAULT = 1 << 26
 _CONV_BUDGET = 1 << 26
+# grids of at least this many points are transformed as an (M1, M2) array
+# (`_grid_dft`); below it one FFT of the whole grid is no slower in lp_norm
+SPLIT_AT = 1 << 13
+# Taylor terms of the low-frequency window's sum (lower_bound_lowfreq)
+_LOWFREQ_TERMS = 16
 
 
 @dataclass
@@ -107,20 +115,69 @@ def _start_grid(degree: int) -> int:
     return K
 
 
+def _grid_dft(support: np.ndarray, M: int):
+    """The length-M inverse DFT between coefficients on `support` (every n
+    below M) and the grid j/M, j < M, as two functions over one buffer:
+
+    values(coeffs): the sum of coeffs * e(n j/M) over the support at every
+        j, in grid order; a view of the buffer, which the next call
+        overwrites;
+    at_support(grid): the sum of grid[j] * e(n j/M) over j at every n of
+        the support (the transpose of `values`); `grid`, a contiguous
+        array of length M, is transformed in place.
+
+    Below SPLIT_AT each is one in-place FFT of length M.  From SPLIT_AT on
+    the grid is an (M1, M2) array, M1 = 2^floor(log2(M)/2) and M2 = M/M1:
+    frequency n sits at [n mod M1, n div M1] and grid point j at
+    [j div M2, j mod M2].  `values` runs FFTs of length M2 along axis 1,
+    multiplies by the twiddles e(n1 j2/M) and runs FFTs of length M1 along
+    axis 0; `at_support` runs the same steps in reverse order.  Every FFT
+    is np.fft.ifft with norm="forward", i.e. unscaled."""
+    if M < SPLIT_AT:
+        buf = np.empty(M, dtype=np.complex128)
+        at, twiddle = support, None
+    else:
+        M1 = 1 << (M.bit_length() - 1) // 2
+        M2 = M // M1
+        buf = np.empty((M1, M2), dtype=np.complex128)
+        at = (support % M1) * M2 + support // M1
+        twiddle = np.exp((2j * np.pi / M)
+                         * np.outer(np.arange(M1), np.arange(M2)))
+    flat = buf.reshape(M)
+
+    def values(coeffs) -> np.ndarray:
+        flat.fill(0.0)
+        flat[at] = coeffs
+        if twiddle is None:
+            return np.fft.ifft(flat, norm="forward", out=flat)
+        np.fft.ifft(buf, axis=1, norm="forward", out=buf)
+        np.multiply(buf, twiddle, out=buf)
+        np.fft.ifft(buf, axis=0, norm="forward", out=buf)
+        return flat
+
+    def at_support(grid: np.ndarray) -> np.ndarray:
+        if twiddle is None:
+            return np.fft.ifft(grid, norm="forward", out=grid)[at]
+        g = grid.reshape(buf.shape)
+        np.fft.ifft(g, axis=0, norm="forward", out=g)
+        np.multiply(g, twiddle, out=g)
+        np.fft.ifft(g, axis=1, norm="forward", out=g)
+        return grid[at]
+
+    return values, at_support
+
+
 def _coset_sampler(support: np.ndarray, coeffs: np.ndarray, M: int):
     """coset(K, r): sum of coeffs * e(n xi) over the support at
-    xi = j/M + r/K, j < M, as one inverse FFT of length M of the
-    coefficients turned by e(n r/K).  Every n must lie below M, and M must
-    divide K.  One length-M buffer serves every call: it is zeroed, takes
-    the turned coefficients and is transformed in place, so each call
-    overwrites the values the last one returned."""
-    buf = np.empty(M, dtype=np.complex128)
+    xi = j/M + r/K, j < M, in grid order: the length-M transform
+    (`_grid_dft`) of the coefficients turned by e(n r/K).  Every n must
+    lie below M, and M must divide K.  One buffer serves every call, so
+    each call overwrites the values the last one returned."""
+    values, _ = _grid_dft(support, M)
 
     def coset(K: int, r: int) -> np.ndarray:
         turn = ((support * r) % K) / K
-        buf.fill(0.0)
-        buf[support] = coeffs * np.exp(2j * np.pi * turn)
-        return np.fft.ifft(buf, norm="forward", out=buf)
+        return values(coeffs * np.exp(2j * np.pi * turn))
 
     return coset
 
@@ -129,8 +186,9 @@ def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
             cap: int = GRID_CAP_DEFAULT) -> QuadratureResult:
     """(integral of |P|^p over the torus)^(1/p) by doubling rectangle rule.
 
-    The K-point grid is sampled as K/M cosets, one length-M inverse FFT
-    each, M = _start_grid(degree) / 8; a doubling samples only its K/M new
+    The K-point grid is sampled as K/M cosets, one length-M inverse DFT
+    each (one FFT below SPLIT_AT, two passes of shorter FFTs from it on),
+    M = _start_grid(degree) / 8; a doubling samples only its K/M new
     odd cosets and adds their |P|^p to the running sum, so every grid
     point is computed once.  The rule stops on the relative change between
     successive grids, or at once for even p when K exceeds p * degree."""
@@ -199,6 +257,12 @@ def lower_bound_lowfreq(A, p: float, N: int | None = None) -> float:
     integrand is analytic and nonvanishing there (every phase turns by
     less than 1/100 of a cycle), so a fixed rule already has negligible
     error; one refinement is done to confirm.
+
+    The sum is taken from power moments: with z = 2 pi i N xi,
+    S(xi) = sum_k z^k / k! * sum_{n in A} (n/N)^k over k < 16
+    (_LOWFREQ_TERMS).  As |z| <= 2 pi/100 and n <= N, the terms from
+    k = 16 on add at most |A| |z|^16 / 16! * e^|z| < |A| * 1e-32 to |S|,
+    far below the roundoff of S itself, so the bound stays certified.
     """
     A = np.asarray(A, dtype=np.int64)
     if len(A) == 0:
@@ -208,15 +272,21 @@ def lower_bound_lowfreq(A, p: float, N: int | None = None) -> float:
     if int(A[-1]) > N:
         raise ValueError("max(A) must not exceed N")
     half = 1.0 / (100.0 * N)
+    ratio = A.astype(np.float64) / N
+    power = np.ones(len(A))
+    # moments[k] = sum of (n/N)^k over A, divided by k!
+    moments = []
+    for k in range(_LOWFREQ_TERMS):
+        moments.append(float(np.sum(power)) / math.factorial(k))
+        power *= ratio
 
     def integral(num_panels):
         x, w = np.polynomial.legendre.leggauss(64)
         edges = np.linspace(-half, half, num_panels + 1)
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            xi = 0.5 * (b - a) * x + 0.5 * (a + b)
-            ph = np.exp(2j * np.pi * xi[:, None] * A[None, :].astype(np.float64))
-            vals = np.abs(ph.sum(axis=1)) ** p
+            z = 2j * np.pi * N * (0.5 * (b - a) * x + 0.5 * (a + b))
+            vals = np.abs(np.polynomial.polynomial.polyval(z, moments)) ** p
             total += 0.5 * (b - a) * float(w @ vals)
         return total
 

@@ -409,6 +409,8 @@ def test_config_h_keys_keep_their_case(tmp_path):
     ("[params]\nseed = 1\nSEED = 2\n", "twice"),
     ("[params]\nmetod = signs\n", "key(s) metod in [params]"),
     ("[params]\nmethod = phase\n", "key(s) method in [params]"),
+    ("[experiment]\nname = thresholds\n",
+     "names experiment 'thresholds', the subcommand is 'count'"),
 ])
 def test_config_bad_keys_are_invalid(tmp_path, capsys, text, word):
     cfg = tmp_path / "exp.ini"

@@ -5,7 +5,10 @@
 file, and the option strings, choices, defaults and value types every
 subparser accepts.  After an intended change of the output, rewrite it with
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [CASE ...]
+
+Named cases (say `majorant prop2`) are rewritten with the parser surface
+and every other case is kept as it is; with no name every case is.
 """
 
 import argparse
@@ -142,8 +145,16 @@ def test_parser_surface_matches_golden(golden):
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s) {', '.join(unknown)}; "
+                 f"known: {', '.join(CASES)}")
+    fixture = (json.loads(FIXTURE.read_text()) if sys.argv[1:]
+               else {"cases": {}})
     with tempfile.TemporaryDirectory() as tmp:
-        fixture = {"cases": {name: run_case(name, Path(tmp)) for name in CASES},
-                   "parser": parser_surface()}
+        for name in names:
+            fixture["cases"][name] = run_case(name, Path(tmp))
+    fixture["parser"] = parser_surface()
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE}", file=sys.stderr)
+    print(f"wrote {', '.join(names)} to {FIXTURE}", file=sys.stderr)

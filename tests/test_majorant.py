@@ -18,6 +18,7 @@ from majorantlab.majorant import (
 from majorantlab.majorant import _GridObjective, _phase_ascent
 from majorantlab.sparseset import SetSpec, build_frac_set
 from majorantlab.sweeps import derive_seed
+from majorantlab.trigpoly import SPLIT_AT, TrigPoly
 
 
 def rng():
@@ -26,6 +27,11 @@ def rng():
 
 def random_set(r, size, top):
     return np.sort(r.choice(np.arange(0, top + 1), size=size, replace=False))
+
+
+def close(got, want, rel):
+    """got equals want within rel times the largest |want|."""
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------- threshold
@@ -210,11 +216,13 @@ def test_phase_ascent_dominates_fourth_roots():
 # ------------------------------------------------------------- gradient
 
 
-@pytest.mark.parametrize("p", [2.5, 3.0, 5.0])
-def test_gradient_matches_finite_differences(p):
+@pytest.mark.parametrize("p, K", [(2.5, None), (3.0, None), (5.0, None),
+                                  (3.0, SPLIT_AT)],
+                         ids=["2.5", "3.0", "5.0", "3.0-split"])
+def test_gradient_matches_finite_differences(p, K):
     r = rng()
     A = random_set(r, 20, 96)
-    obj = _GridObjective(A, p)
+    obj = _GridObjective(A, p, K)
     theta = r.uniform(0, 2 * math.pi, size=len(A))
     _, g = obj.value_and_grad(theta)
     step = 1e-5
@@ -226,33 +234,56 @@ def test_gradient_matches_finite_differences(p):
         assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
 
+# the default grid of a support up to 1500 lies below SPLIT_AT; one up to
+# 9000 lies above it
+_TOPS = (1500, 9000)
+
+
 @pytest.mark.parametrize("p", [2.5, 4.2])
 def test_grid_objective_values_equal_scaled_backward_ifft(p):
+    # below SPLIT_AT the values are one in-place FFT and keep its bits;
+    # from SPLIT_AT on they come from the split transform, in grid order
+    # as well, and agree with the length-K FFT and direct evaluation
     r = rng()
-    A = random_set(r, 40, 3000)
-    obj = _GridObjective(A, p)
-    coeffs = np.exp(1j * r.uniform(0, 2 * math.pi, size=len(A)))
-    dense = np.zeros(obj.K, dtype=np.complex128)
-    dense[A] = coeffs
-    assert np.array_equal(obj.values(coeffs), np.fft.ifft(dense) * obj.K)
+    for top in _TOPS:
+        A = random_set(r, 40, top)
+        obj = _GridObjective(A, p)
+        coeffs = np.exp(1j * r.uniform(0, 2 * math.pi, size=len(A)))
+        dense = np.zeros(obj.K, dtype=np.complex128)
+        dense[A] = coeffs
+        want = np.fft.ifft(dense) * obj.K
+        if obj.K < SPLIT_AT:
+            assert top == _TOPS[0]
+            assert np.array_equal(obj.values(coeffs), want)
+            continue
+        got = obj.values(coeffs)
+        assert close(got, want, 1e-12)
+        j = np.arange(0, obj.K, 7)
+        assert close(got[j], TrigPoly(A, coeffs).evaluate(j / obj.K), 1e-12)
 
 
 @pytest.mark.parametrize("p", [2.5, 4.2])
 def test_gradient_from_trial_values_equals_gradient_from_scratch(p):
     r = rng()
-    A = random_set(r, 40, 3000)
-    obj = _GridObjective(A, p)
-    theta = r.uniform(0, 2 * math.pi, size=len(A))
-    coeffs = np.exp(1j * theta)
-    F, g = obj.value_and_grad(theta, (coeffs, *obj.measure(coeffs)))
-    F0, g0 = _GridObjective(A, p).value_and_grad(theta)
-    assert F == F0
-    assert np.array_equal(g, g0)
-    # the gradient against the former out-of-place transform
-    vals = obj.values(coeffs)
-    av = np.abs(vals)
-    q = np.fft.ifft(av ** (p - 2.0) * np.conj(vals))
-    assert np.array_equal(g0, -p * np.imag(coeffs * q[A]))
+    for top in _TOPS:
+        A = random_set(r, 40, top)
+        obj = _GridObjective(A, p)
+        theta = r.uniform(0, 2 * math.pi, size=len(A))
+        coeffs = np.exp(1j * theta)
+        F, g = obj.value_and_grad(theta, (coeffs, *obj.measure(coeffs)))
+        F0, g0 = _GridObjective(A, p).value_and_grad(theta)
+        assert F == F0
+        assert np.array_equal(g, g0)
+        # the gradient against the out-of-place length-K transform of
+        # |P|^(p-2) conj(P), with the power taken as the objective takes it
+        vals = obj.values(coeffs).copy()
+        w = np.power(vals.real ** 2 + vals.imag ** 2, 0.5 * (p - 2.0))
+        q = np.fft.ifft(w * np.conj(vals))
+        want = -p * np.imag(coeffs * q[A])
+        if obj.K < SPLIT_AT:
+            assert np.array_equal(g0, want)
+        else:
+            assert close(g0, want, 1e-12)
 
 
 # ----------------------------------------------------------- phase ascent

@@ -5,12 +5,15 @@ from majorantlab import ConvergenceError, RegVaryFn, SlowlyVaryingSpec
 from majorantlab.expsum import dirichlet_sum
 from majorantlab.sparseset import SetSpec, build_frac_set
 from majorantlab.sweeps import derive_seed
+from majorantlab import trigpoly
 from majorantlab.trigpoly import (
     GRID_CAP_DEFAULT,
+    SPLIT_AT,
     DiscreteMeasure,
     QuadratureResult,
     TrigPoly,
     _coset_sampler,
+    _grid_dft,
     _start_grid,
     apply_extension,
     even_p_oracle,
@@ -145,25 +148,67 @@ def test_coset_refinement_capped_matches_doubling_reference():
     assert got.value.previous == pytest.approx(ref.value.previous, rel=1e-13)
 
 
-@pytest.mark.parametrize("p", [2.5, 4.0])
-def test_lp_norm_ffts_sample_each_point_once(monkeypatch, p):
-    # every FFT has the length of the smallest grid above the degree, and
-    # together they cover the final grid once
-    P = random_poly(np.random.default_rng(82), size=12, degree=200)
-    lengths = []
+@pytest.mark.parametrize("p, degree", [(2.5, 200), (4.0, 200),
+                                       (2.5, SPLIT_AT - 5)],
+                         ids=["2.5", "4.0", "2.5-split"])
+def test_lp_norm_ffts_sample_each_point_once(monkeypatch, p, degree):
+    # every coset is one transform of the smallest grid above the degree:
+    # one FFT of length M below SPLIT_AT, else FFTs along axis 1 then
+    # axis 0 of an (M1, M2) array; together they cover the final grid once
+    P = random_poly(np.random.default_rng(82), size=12, degree=degree)
+    calls = []
     ifft = np.fft.ifft
 
     def recording_ifft(a, *args, **kwargs):
-        lengths.append(len(a))
+        calls.append((a.shape, kwargs.get("axis", -1)))
         return ifft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", recording_ifft)
     got = lp_norm(P, p, tol=1e-10)
     M = _start_grid(P.degree) // 8
+    assert (M < SPLIT_AT) == (degree == 200)
+    if M < SPLIT_AT:
+        cosets = calls
+        assert set(calls) == {((M,), -1)}
+    else:
+        M1 = 1 << (M.bit_length() - 1) // 2
+        cosets = calls[::2]
+        assert calls == [((M1, M // M1), 1), ((M1, M // M1), 0)] * len(cosets)
     # even p stops on the start grid; p = 2.5 doubles at least once
-    assert len(lengths) == 8 if p == 4.0 else len(lengths) > 8
-    assert set(lengths) == {M}
-    assert sum(lengths) == got.grid_size
+    assert len(cosets) == 8 if p == 4.0 else len(cosets) > 8
+    assert len(cosets) * M == got.grid_size
+
+
+@pytest.mark.parametrize("M", [1 << 10, SPLIT_AT, 4 * SPLIT_AT])
+def test_grid_dft_equals_direct_sums(M):
+    # values and at_support against the sums they stand for, with exact
+    # integer phases n j mod M
+    r = np.random.default_rng(86)
+    support = np.sort(r.choice(M, size=30, replace=False))
+    coeffs = r.standard_normal(30) + 1j * r.standard_normal(30)
+    values, at_support = _grid_dft(support, M)
+    j = np.arange(M)
+    cis = np.exp(2j * np.pi * ((support[:, None] * j[None, :]) % M) / M)
+    want = coeffs @ cis
+    got = values(coeffs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    grid = r.standard_normal(M) + 1j * r.standard_normal(M)
+    want = cis @ grid
+    got = at_support(grid.copy())
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("p", [2.5, 4.2])
+def test_lp_norm_split_transform_matches_one_fft(monkeypatch, p):
+    # a polynomial whose cosets have M >= SPLIT_AT points, once through
+    # the split transform and once with SPLIT_AT moved above M
+    P = random_poly(np.random.default_rng(87), size=60, degree=3 * SPLIT_AT // 4)
+    assert _start_grid(P.degree) // 8 >= SPLIT_AT
+    split = lp_norm(P, p, tol=1e-10)
+    monkeypatch.setattr(trigpoly, "SPLIT_AT", 1 << 40)
+    whole = lp_norm(P, p, tol=1e-10)
+    assert split.grid_size == whole.grid_size
+    assert split.value == pytest.approx(whole.value, rel=1e-13)
 
 
 def test_coset_sampler_matches_out_of_place_ifft():
@@ -255,6 +300,36 @@ def test_lowfreq_full_interval_matches_dirichlet_kernel():
     kernel[np.isnan(kernel)] = N
     ref = (np.trapezoid(kernel ** p, xi)) ** (1.0 / p)
     assert got == pytest.approx(ref, rel=1e-4)
+
+
+def lowfreq_by_exponentials(A, p, N):
+    """lower_bound_lowfreq's rule with the sum taken term by term."""
+    half = 1.0 / (100.0 * N)
+    x, w = np.polynomial.legendre.leggauss(64)
+
+    def integral(num_panels):
+        edges = np.linspace(-half, half, num_panels + 1)
+        total = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            xi = 0.5 * (b - a) * x + 0.5 * (a + b)
+            S = np.exp(2j * np.pi * xi[:, None] * A[None, :]).sum(axis=1)
+            total += 0.5 * (b - a) * float(w @ np.abs(S) ** p)
+        return total
+
+    v1, v2 = integral(8), integral(16)
+    if abs(v2 - v1) > 1e-8 * abs(v2):
+        v2 = integral(32)
+    return v2 ** (1.0 / p)
+
+
+@pytest.mark.parametrize("N, size", [(300, 1), (500, 40), (2048, 300),
+                                     (8192, 1200)])
+def test_lowfreq_moments_match_exponential_sums(N, size):
+    r = np.random.default_rng(N)
+    A = np.sort(r.choice(np.arange(1, N + 1), size=size, replace=False))
+    for p in (2.0, 2.5, 4.2):
+        assert lower_bound_lowfreq(A, p, N=N) == pytest.approx(
+            lowfreq_by_exponentials(A, p, N), rel=1e-13)
 
 
 # ---------------------------------------------------------------- measures
