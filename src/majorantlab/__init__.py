@@ -53,7 +53,7 @@ from .trigpoly import (
     lp_norm,
     measure_mu,
     measure_nu,
-    restriction_ratios,
+    restriction_ratio_max,
     ttstar_apply,
 )
 
@@ -69,7 +69,7 @@ __all__ = [
     "TrigPoly", "QuadratureResult", "DiscreteMeasure", "lp_norm",
     "even_p_oracle", "lower_bound_lowfreq", "measure_mu", "measure_nu",
     "fourier_of_measure", "extension_poly", "ttstar_apply",
-    "restriction_ratios",
+    "restriction_ratio_max",
     "MajorantProblem", "MajorantEstimate", "p_threshold", "estimate_constant",
     "brute_force_constant", "hy_envelope", "uniformity_sweep",
     "SweepResult", "derive_seed", "fit_loglog_slope", "golden_xis",

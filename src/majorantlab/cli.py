@@ -36,7 +36,7 @@ from .trigpoly import (
     fourier_sup_of_difference,
     measure_mu,
     measure_nu,
-    restriction_ratios,
+    restriction_ratio_max,
 )
 
 
@@ -193,14 +193,14 @@ def _exp_prop2(cfg: ExperimentConfig):
     def task(N):
         spec = SetSpec(cfg.kind, h1, h2, int(N), psi_mode=cfg.psi_mode)
         bset = build_frac_set(spec)
-        ratios = restriction_ratios(bset, p, trials=cfg.trials,
-                                    seed=cfg.seed, tol=cfg.tol, cap=cfg.cap)
+        ratio = restriction_ratio_max(bset, p, trials=cfg.trials,
+                                      seed=cfg.seed, tol=cfg.tol, cap=cfg.cap)
         sup, grid = fourier_sup_of_difference(
             measure_mu(bset), measure_nu(int(N)))
         return [
             SweepResult(
                 experiment="prop2", quantity="restriction_ratio_max",
-                value=float(max(ratios)),
+                value=ratio,
                 seed=cfg.seed, borderline_count=bset.borderline_count,
                 params={"N": int(N), "p": p, "trials": cfg.trials,
                         "set_size": len(bset)},

@@ -243,7 +243,13 @@ def build_floor_set(h: RegVaryFn, N: int, cap: int = DEFAULT_CAP,
         fr = np.asarray(vals - floors, dtype=np.float64)
         borderline += int(np.count_nonzero((fr < guard) | (fr > 1 - guard)))
         out.append(np.asarray(floors, dtype=np.int64))
-    members = np.unique(np.concatenate(out))
+    floors = np.concatenate(out)
+    # h increases on its domain and the chunks run in increasing n, so the
+    # floors are nondecreasing: equal floors are neighbours, and dropping
+    # each repeat of its left neighbour deduplicates them in one pass
+    keep = np.ones(len(floors), dtype=bool)
+    keep[1:] = floors[1:] != floors[:-1]
+    members = floors[keep]
     members = members[(members >= 1) & (members <= N)]
     n_min = int(members[0]) if len(members) else 1
     return SparseSet(spec, members, n_min=n_min, borderline_count=borderline,

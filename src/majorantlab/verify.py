@@ -54,7 +54,7 @@ from .trigpoly import (
     lp_norm,
     measure_mu,
     measure_nu,
-    restriction_ratios,
+    restriction_ratio_max,
     ttstar_apply,
 )
 
@@ -351,7 +351,7 @@ def check_prop2(Ns=(2**10, 2**12, 2**14), trials=6, seed=4):
     sups = []
     for N in Ns:
         b = build_frac_set(SetSpec("frac_plus", h1, h2, N))
-        maxima.append(max(restriction_ratios(b, p, trials=trials, seed=seed)))
+        maxima.append(restriction_ratio_max(b, p, trials=trials, seed=seed))
         sups.append(fourier_sup_of_difference(measure_mu(b), measure_nu(N))[0])
     slope = fit_loglog_slope(Ns, maxima)
     sup_slope = fit_loglog_slope(Ns, sups)

@@ -62,6 +62,28 @@ def test_floor_set_cardinality_matches_inverse():
     assert np.all(np.diff(s.members) > 0)
 
 
+@pytest.mark.parametrize("h", [
+    RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=0.3)),
+    RegVaryFn(1.0, SlowlyVaryingSpec("exp_log_power", B=0.3, C=0.5)),
+    RegVaryFn(1.0, SlowlyVaryingSpec("iterated_log", m=2)),
+    RegVaryFn(1.0, SlowlyVaryingSpec("iterated_log", m=3)),
+    RegVaryFn(1.05, SlowlyVaryingSpec("constant_one")),
+], ids=["log_power", "exp_log_power", "iterated_log2", "iterated_log3",
+        "constant_one"])
+def test_floor_set_dedup_matches_unique(h):
+    # the builder drops repeats of the left neighbour, which relies on the
+    # floors being nondecreasing; a sorting np.unique must agree
+    N = 5000
+    n = np.arange(math.ceil(h.x0 - 1e-9), 4 * N, dtype=np.float64)
+    floors = np.floor(h.value_longdouble(n)).astype(np.int64)
+    floors = floors[(floors >= 1) & (floors <= N)]
+    expected = np.unique(floors)
+    if h.ell.m == 3:
+        # h' = ell + x ell' stays below 1 over this range: floors repeat
+        assert len(expected) < len(floors)
+    assert np.array_equal(build_floor_set(h, N).members, expected)
+
+
 def test_floor_set_exact_tie_is_borderline():
     # h(1) = 1 and h(4) = 8 exactly, so both land on the floor boundary
     s = build_floor_set(x15(), 12)

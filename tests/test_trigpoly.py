@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from majorantlab import ConvergenceError, RegVaryFn, SlowlyVaryingSpec
+from majorantlab.majorant import p_threshold
 from majorantlab.expsum import dirichlet_sum
 from majorantlab.sparseset import SetSpec, build_frac_set
 from majorantlab.sweeps import derive_seed
@@ -13,10 +16,13 @@ from majorantlab.trigpoly import (
     QuadratureResult,
     TrigPoly,
     _coset_sampler,
+    _first_grid_max,
     _grid_dft,
+    _lp_norm_bounds,
     _start_grid,
     apply_extension,
     even_p_oracle,
+    extension_poly,
     fourier_of_measure,
     fourier_sup_of_difference,
     l2_norm_weighted,
@@ -24,7 +30,7 @@ from majorantlab.trigpoly import (
     lp_norm,
     measure_mu,
     measure_nu,
-    restriction_ratios,
+    restriction_ratio_max,
     ttstar_apply,
 )
 
@@ -424,13 +430,124 @@ def test_apply_extension_values():
     assert got[0] == pytest.approx(mu.total_mass, rel=1e-12)
 
 
-def test_restriction_ratios_bounded_small():
+def test_restriction_ratio_max_bounded_small():
     b = bset_xlogx(2**10)
-    ratios = restriction_ratios(b, p=3.0, trials=4, seed=11)
-    assert len(ratios) == 4
-    assert all(np.isfinite(ratios))
-    again = restriction_ratios(b, p=3.0, trials=4, seed=11)
-    assert ratios == again
+    ratio = restriction_ratio_max(b, p=3.0, trials=4, seed=11)
+    assert np.isfinite(ratio) and ratio > 0
+    assert restriction_ratio_max(b, p=3.0, trials=4, seed=11) == ratio
+
+
+def bset_prop2(N):
+    """The restriction workload's family: h1 = x log x, h2 = x^1.1 log x."""
+    h1 = RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
+    h2 = RegVaryFn(1.1, SlowlyVaryingSpec("log_power", B=1.0))
+    return build_frac_set(SetSpec("frac_plus", h1, h2, N))
+
+
+def restriction_ratios_full(bset, p, trials, seed, tol=1e-8):
+    """Every trial's ratio, each from its own quadrature: the loop that
+    restriction_ratio_max prunes."""
+    mu = measure_mu(bset)
+    N = bset.spec.N
+    out = []
+    for t in range(trials):
+        if t == 0:
+            f = np.ones(len(mu.atoms), dtype=np.complex128)
+        else:
+            r = np.random.default_rng(derive_seed(derive_seed(seed, N), t))
+            f = (r.standard_normal(len(mu.atoms))
+                 + 1j * r.standard_normal(len(mu.atoms))) / math.sqrt(2.0)
+        num = lp_norm(extension_poly(f, mu), p, tol=tol).value * N ** (1.0 / p)
+        out.append(num / l2_norm_weighted(f, mu))
+    return out
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.2, 6.0])
+def test_lp_norm_bounds_hold(p):
+    # random polynomials, several rows per support, with the degree at
+    # M - 1 (the loosest Bernstein factor) or anywhere up to 4096; and a
+    # Dirichlet kernel of degree M - 1 peaking midway between grid points
+    r = rng()
+    for top in (4095, 1023, None):
+        for _ in range(4):
+            if top is None:
+                support = np.sort(r.choice(4097, size=24, replace=False))
+            else:
+                support = np.append(np.sort(r.choice(top, size=23,
+                                                     replace=False)), top)
+            rows = r.standard_normal((3, 24)) + 1j * r.standard_normal((3, 24))
+            bounds = _lp_norm_bounds(support, rows, p)
+            for row, bound in zip(rows, bounds):
+                got = lp_norm(TrigPoly(support, row), p, tol=1e-10).value
+                assert bound * (1 + 1e-12) >= got
+    D = 2047
+    support = np.arange(D + 1)
+    half_cell = 1.0 / (2 * _start_grid(D))
+    rows = np.exp(-2j * np.pi * support * half_cell)[None, :]
+    got = lp_norm(TrigPoly(support, rows[0]), p, tol=1e-10).value
+    assert _lp_norm_bounds(support, rows, p)[0] * (1 + 1e-12) >= got
+    if p == 2.0:
+        # tight at p = 2: the bound is the l2 norm of the coefficients
+        assert _lp_norm_bounds(support, rows, p)[0] == pytest.approx(got, rel=1e-12)
+
+
+def test_sup_bound_covers_a_peak_between_grid_points():
+    # the Dirichlet kernel of degree M - 1 turned to peak midway between
+    # two points of the first grid: the grid max misses the sup D + 1,
+    # and the Bernstein factor (p = inf in _lp_norm_bounds) recovers it
+    D = 2047
+    support = np.arange(D + 1)
+    rows = np.exp(-2j * np.pi * support / (2 * _start_grid(D)))[None, :]
+    top, _ = _first_grid_max(support, rows)
+    assert top[0] < D + 1 <= _lp_norm_bounds(support, rows, math.inf)[0]
+
+
+def test_first_grid_max_per_row_matches_one_full_grid():
+    r = np.random.default_rng(88)
+    support = np.sort(r.choice(3000, size=40, replace=False))
+    rows = r.standard_normal((3, 40)) + 1j * r.standard_normal((3, 40))
+    top, K = _first_grid_max(support, rows)
+    assert K == _start_grid(int(support[-1]))
+    for row, got in zip(rows, top):
+        full = TrigPoly(support, row).grid_values(K)
+        assert got == pytest.approx(np.max(np.abs(full)), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [p_threshold(1.0, 1.1) + 0.7, 2.0, 1.5],
+                         ids=["4.2", "2", "1.5"])
+@pytest.mark.parametrize("level", [10, 11, 12])
+def test_restriction_ratio_max_equals_full_loop(p, level):
+    # bit for bit the maximum of a quadrature for every trial; at p = 2
+    # the bound is tight and random f win, so skipping meets its edge
+    b = bset_prop2(2**level)
+    winners = []
+    for seed in (7, 0, 3):
+        full = restriction_ratios_full(b, p, trials=16, seed=seed)
+        assert restriction_ratio_max(b, p, trials=16, seed=seed) == max(full)
+        winners.append(int(np.argmax(full)))
+    if p == 2.0:
+        assert any(w > 0 for w in winners)
+
+
+def test_restriction_ratio_max_runs_one_quadrature(monkeypatch):
+    # on the workload's family at 2^13 every random f is bounded below
+    # the all-ones ratio, so only all-ones gets its quadrature
+    b = bset_prop2(2**13)
+    p = p_threshold(1.0, 1.1) + 0.7
+    calls = []
+    lp = trigpoly.lp_norm
+
+    def counting_lp_norm(P, *args, **kwargs):
+        calls.append(len(P.support))
+        return lp(P, *args, **kwargs)
+
+    monkeypatch.setattr(trigpoly, "lp_norm", counting_lp_norm)
+    ratio = restriction_ratio_max(b, p, trials=16, seed=7)
+    assert len(calls) == 1
+    ones = np.ones(len(b), dtype=np.complex128)
+    mu = measure_mu(b)
+    assert ratio == (lp(extension_poly(ones, mu), p).value * (2**13) ** (1 / p)
+                     / l2_norm_weighted(ones, mu))
 
 
 def test_weighted_l2_norm():
