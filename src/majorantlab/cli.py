@@ -28,7 +28,7 @@ from . import verify as _verify
 from .errors import AdmissibilityError, CapacityError, ConvergenceError
 from .expsum import error_term, vdc_ratio_sweep, weighted_inverse_vs_dirichlet
 from .majorant import DEFAULT_BUDGET, p_threshold, uniformity_sweep
-from .rvfunc import InverseFn, PsiFn, RegVaryFn
+from .rvfunc import ELL_KINDS, InverseFn, PsiFn, RegVaryFn
 from .sparseset import SetSpec, build_frac_set, build_set
 from .sweeps import SweepResult, per_row, sweep, write_csv, write_jsonl, xi_grid
 from .trigpoly import (
@@ -54,7 +54,6 @@ class ExperimentConfig:
     m_max: int = 16
     trials: int = 16
     p_offset: float = 0.5
-    at_endpoint: bool = False
     budget: int = DEFAULT_BUDGET
     seed: int = 0
     tol: float = 1e-8
@@ -90,9 +89,13 @@ def _family(kv: dict, default_c: float = 1.0) -> RegVaryFn:
 
 def _levels_list(spec: str) -> list:
     lo, _, hi = spec.partition(":")
-    levels = [2**j for j in range(int(lo), int(hi) + 1)]
+    try:
+        levels = [2**j for j in range(int(lo), int(hi) + 1)]
+    except ValueError:
+        levels = []
     if not levels:
-        raise ValueError(f"levels {spec!r} is an empty range")
+        raise ValueError(f"levels {spec!r} is not of the form lo:hi with "
+                         f"integer exponents lo <= hi")
     return levels
 
 
@@ -185,8 +188,7 @@ def _exp_vdc(cfg: ExperimentConfig):
 
 def _exp_prop2(cfg: ExperimentConfig):
     h1, h2 = _family(cfg.h1), _family(cfg.h2, default_c=1.1)
-    base_p = p_threshold(h1.c, h2.c)
-    p = base_p if cfg.at_endpoint else base_p + cfg.p_offset
+    p = p_threshold(h1.c, h2.c) + cfg.p_offset
     if not math.isfinite(p):
         raise ValueError(f"p-offset {cfg.p_offset} gives p = {p}")
 
@@ -218,12 +220,10 @@ def _exp_prop2(cfg: ExperimentConfig):
 
 def _exp_majorant(cfg: ExperimentConfig):
     h1, h2 = _family(cfg.h1), _family(cfg.h2)
-    if h2.c > 1.0:
-        floor = p_threshold(h1.c, h2.c)
-        if cfg.p < floor and not cfg.at_endpoint:
-            raise AdmissibilityError(
-                f"p = {cfg.p} below threshold {floor} for (c1, c2) = "
-                f"({h1.c}, {h2.c})")
+    if h2.c > 1.0 and cfg.p < (floor := p_threshold(h1.c, h2.c)):
+        raise AdmissibilityError(
+            f"p = {cfg.p} below threshold {floor} for (c1, c2) = "
+            f"({h1.c}, {h2.c})")
 
     def build(N):
         return build_frac_set(SetSpec(cfg.kind, h1, h2, N,
@@ -269,58 +269,51 @@ def _exp_verify(cfg: ExperimentConfig):
 
 # ------------------------------------------------------------ the table
 
-# add_argument keywords of the flags every parser accepts, before and
-# after the subcommand name
-_GLOBAL_FLAGS = {"--config": {"type": str}, "--out": {"type": str},
-                 "--seed": {"type": int}, "--workers": {"type": int},
-                 "--format": {"dest": "fmt", "type": str,
-                              "choices": ("csv", "jsonl", "both")},
-                 "--tol": {"type": float}, "--grid-cap": {"type": int}}
 
-# add_argument keywords of the h1/h2 flags --c1 ... --m2, then of every
-# other subcommand flag; each defaults to None
-_H_FLAGS = {"c": {"type": float},
-            "ell": {"type": str, "choices": ("log_power", "exp_log_power",
-                                             "iterated_log", "constant_one")},
-            "B": {"type": float}, "C": {"type": float}, "m": {"type": int}}
-_FLAGS = {
-    **{f"--{name}{i}": kw for i in "12" for name, kw in _H_FLAGS.items()},
-    "--family": {"type": str, "help": "shorthand: slowly varying family "
-                                      "for both h1 and h2"},
-    "--psi-mode": {"type": str, "choices": ("difference", "derivative")},
-    "--N-list": {"type": str, "dest": "n_list"},
-    "--kind": {"type": str,
-               "choices": ("frac_plus", "frac_minus", "floor_image")},
-    "--set-out": {"type": str},
-    "--xi-rule": {"type": str},
-    "--m-max": {"type": int},
-    "--levels": {"type": str, "help": "dyadic exponent range lo:hi"},
-    "--trials": {"type": int},
-    "--p-offset": {"type": float},
-    "--p": {"type": float},
-    "--N": {"type": int},
-    "--budget": {"type": int},
-    "--coeffs-out": {"type": str},
-    "--at-endpoint": {"action": "store_true"},
-    "--level": {"type": str, "choices": ("quick", "full")},
+# Every setting, by its config-file key: the add_argument keywords that
+# its flag and its file value both go through, and under "flag" the flag
+# where that is not --key with - for _ (None: the key is file-only).
+# `name` labels the file's experiment and must equal the subcommand.
+_SETTINGS = {
+    "name": {"type": str, "flag": None}, "out": {"type": str},
+    "seed": {"type": int}, "workers": {"type": int}, "tol": {"type": float},
+    "grid_cap": {"type": int},
+    "fmt": {"type": str, "choices": ("csv", "jsonl", "both"),
+            "flag": "--format"},
+    "psi_mode": {"type": str, "choices": PsiFn.MODES},
+    "kind": {"type": str,
+             "choices": ("frac_plus", "frac_minus", "floor_image")},
+    "xi_rule": {"type": str}, "m_max": {"type": int}, "trials": {"type": int},
+    "levels": {"type": str, "help": "dyadic exponent range lo:hi"},
+    "p_offset": {"type": float}, "p": {"type": float}, "budget": {"type": int},
+    "set_out": {"type": str}, "coeffs_out": {"type": str},
+    "level": {"type": str, "choices": ("quick", "full")},
+    "n_list": {"type": str, "flag": "--N-list"},
 }
-_H = (*(f"--{name}{i}" for i in "12" for name in _H_FLAGS), "--family",
-      "--psi-mode")
+_FIELDS = {"out": "out_dir", "n_list": "N_list"}
+# the settings every parser accepts, before and after the subcommand name
+_GLOBAL = ("out", "seed", "workers", "fmt", "tol", "grid_cap")
+# the keys of [h1]/[h2], as RegVaryFn.from_kv reads them: case matters
+# there (B and C are parameters of ell, c is the exponent); the flag of
+# key k in [hi] is --ki
+_H_SETTINGS = {
+    "family": {"type": str, "choices": ELL_KINDS, "flag": "--ell"},
+    "c": {"type": float}, "B": {"type": float}, "C": {"type": float},
+    "m": {"type": int}, "x0": {"type": float, "flag": None},
+}
+_H = ("h1", "h2", "psi_mode")
 
-# subcommand -> (runner returning the rows, its flags)
+# subcommand -> (runner returning the rows, its settings besides _GLOBAL;
+# h1/h2 stand for the flags of that section)
 EXPERIMENTS = {
-    "count": (_exp_count, (*_H, "--N-list", "--kind", "--set-out")),
-    "expsum-decay": (_exp_expsum_decay,
-                     (*_H, "--N-list", "--kind", "--xi-rule")),
-    "vdc": (_exp_vdc, (*_H, "--xi-rule", "--m-max", "--levels")),
-    "lemma2": (_exp_lemma2, (*_H, "--N-list", "--kind", "--xi-rule")),
-    "prop2": (_exp_prop2,
-              (*_H, "--levels", "--trials", "--p-offset", "--at-endpoint")),
-    "majorant": (_exp_majorant,
-                 (*_H, "--N-list", "--p", "--N", "--budget", "--coeffs-out",
-                  "--at-endpoint")),
+    "count": (_exp_count, (*_H, "n_list", "kind", "set_out")),
+    "expsum-decay": (_exp_expsum_decay, (*_H, "n_list", "kind", "xi_rule")),
+    "vdc": (_exp_vdc, (*_H, "xi_rule", "m_max", "levels")),
+    "lemma2": (_exp_lemma2, (*_H, "n_list", "kind", "xi_rule")),
+    "prop2": (_exp_prop2, (*_H, "levels", "trials", "p_offset")),
+    "majorant": (_exp_majorant, (*_H, "n_list", "p", "budget", "coeffs_out")),
     "thresholds": (_exp_thresholds, _H),
-    "verify": (_exp_verify, ("--level",)),
+    "verify": (_exp_verify, ("level",)),
 }
 
 
@@ -357,31 +350,55 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _add_flags(parser, settings, default=None, section=""):
+    """The flag of each setting that has one; key k of section [hi] gets
+    the flag --ki and the dest "hi.k"."""
+    for key, kw in settings.items():
+        kw = dict(kw)
+        flag = kw.pop("flag", "--" + key.replace("_", "-"))
+        if flag:
+            parser.add_argument(flag + section[1:], default=default,
+                                dest=f"{section}.{key}" if section else key,
+                                **kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    for flag, kw in _GLOBAL_FLAGS.items():
-        # SUPPRESS keeps a subparser from clobbering a flag that was
-        # already given before the subcommand name
-        common.add_argument(flag, default=argparse.SUPPRESS, **kw)
-    ap = _Parser(
-        prog="majorantlab",
-        parents=[common],
-        description="Numerical experiments on sparse-set exponential sums "
-                    "and majorant constants.")
+    # SUPPRESS keeps a subparser from clobbering a flag that was already
+    # given before the subcommand name
+    common.add_argument("--config", type=str, default=argparse.SUPPRESS)
+    _add_flags(common, {k: _SETTINGS[k] for k in _GLOBAL}, argparse.SUPPRESS)
+    # no abbreviations: a removed flag such as --N must not parse as a
+    # prefix of another (--N-list)
+    ap = _Parser(prog="majorantlab", parents=[common], allow_abbrev=False,
+                 description="Numerical experiments on sparse-set "
+                             "exponential sums and majorant constants.")
     sub = ap.add_subparsers(dest="experiment", required=True)
-    for name, (_, flags) in EXPERIMENTS.items():
-        sp = sub.add_parser(name, parents=[common])
-        for flag in flags:
-            sp.add_argument(flag, default=None, **_FLAGS[flag])
+    for name, (_, keys) in EXPERIMENTS.items():
+        sp = sub.add_parser(name, parents=[common], allow_abbrev=False)
+        for key in keys:
+            if key in ("h1", "h2"):
+                _add_flags(sp, _H_SETTINGS, section=key)
+            else:
+                _add_flags(sp, {key: _SETTINGS[key]})
     return ap
 
 
-# the keys of [h1]/[h2], as RegVaryFn.from_kv reads them: case matters
-# there (B and C are parameters of ell, c is the exponent)
-_H_KEYS = ("family", "c", "B", "C", "m", "x0")
+def _file_value(section: str, key: str, kw: dict, text: str):
+    """A config-file value, through the type and choices of its flag."""
+    try:
+        value = kw["type"](text)
+    except ValueError:
+        raise ValueError(f"[{section}] {key} = {text!r} is not a valid "
+                         f"{kw['type'].__name__}") from None
+    if value not in kw.get("choices", (value,)):
+        raise ValueError(f"[{section}] {key} = {text!r} is not one of "
+                         f"{', '.join(kw['choices'])}")
+    return value
 
 
 def _config_from_file(path: str) -> dict:
+    """The file's settings by key, with [h1] and [h2] under "h1"/"h2"."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
     with open(path) as fh:
@@ -395,12 +412,13 @@ def _config_from_file(path: str) -> dict:
             if len(lowered) < len(items):
                 raise ValueError(f"a key is given twice in [{section}]")
             items = lowered
-        known = _H_KEYS if h_section else _FILE_KEYS
+        known = _H_SETTINGS if h_section else _SETTINGS
         unknown = sorted(set(items) - set(known))
         if unknown:
             raise ValueError(f"unknown key(s) {', '.join(unknown)} in "
                              f"[{section}]; known: {', '.join(known)}")
-        (out[section] if h_section else out).update(items)
+        (out[section] if h_section else out).update(
+            {k: _file_value(section, k, known[k], v) for k, v in items.items()})
     return out
 
 
@@ -414,49 +432,30 @@ def _parse_n_list(text: str) -> list:
     return values
 
 
-# config-file key -> parser of its value; a flag given for the same key
-# (--grid-cap for grid_cap) overrides the file.  `out` and `n_list` set
-# out_dir and N_list.
-_KEYS = {"out": str, "seed": int, "workers": int, "fmt": str, "tol": float,
-         "grid_cap": int, "psi_mode": str, "kind": str, "xi_rule": str,
-         "m_max": int, "levels": str, "trials": int, "p_offset": float,
-         "p": float, "budget": int, "set_out": str,
-         "coeffs_out": str, "level": str, "n_list": _parse_n_list}
-_FIELDS = {"out": "out_dir", "n_list": "N_list"}
-# the keys a config file may hold outside [h1]/[h2]; `name` labels the
-# file's experiment and must equal the subcommand
-_FILE_KEYS = ("name", *_KEYS)
-
-
 def resolve_config(argv=None) -> ExperimentConfig:
+    """Defaults, overridden by the config file, overridden by the flags."""
     flags = {k: v for k, v in vars(build_parser().parse_args(argv)).items()
              if v is not None}
-    file_cfg = (_config_from_file(flags["config"]) if "config" in flags
-                else {"h1": {}, "h2": {}})
-    if file_cfg.get("name", flags["experiment"]) != flags["experiment"]:
-        raise ValueError(f"the config file names experiment "
-                         f"{file_cfg['name']!r}, the subcommand is "
-                         f"{flags['experiment']!r}")
-    cfg = ExperimentConfig(experiment=flags["experiment"],
-                           h1=file_cfg["h1"], h2=file_cfg["h2"])
-    given = {**file_cfg, **flags}
-    for key, parse in _KEYS.items():
-        if key in given:
-            setattr(cfg, _FIELDS.get(key, key), parse(given[key]))
-    for i, tgt in (("1", cfg.h1), ("2", cfg.h2)):
-        if "family" in flags:
-            tgt.setdefault("family", flags["family"])
-        for name in _H_FLAGS:
-            if name + i in flags:
-                tgt["family" if name == "ell" else name] = flags[name + i]
+    experiment = flags.pop("experiment")
+    given = (_config_from_file(flags.pop("config")) if "config" in flags
+             else {"h1": {}, "h2": {}})
+    name = given.pop("name", experiment)
+    if name != experiment:
+        raise ValueError(f"the config file names experiment {name!r}, "
+                         f"the subcommand is {experiment!r}")
+    cfg = ExperimentConfig(experiment=experiment, h1=given.pop("h1"),
+                           h2=given.pop("h2"))
+    for dest, value in flags.items():
+        section, _, key = dest.rpartition(".")
+        (getattr(cfg, section) if section else given)[key] = value
+    if "n_list" in given:
+        given["n_list"] = _parse_n_list(given["n_list"])
+    for key, value in given.items():
+        setattr(cfg, _FIELDS.get(key, key), value)
     if cfg.grid_cap is not None and cfg.grid_cap < 1:
         raise ValueError(f"--grid-cap (grid_cap) must be >= 1, got {cfg.grid_cap}")
     if cfg.workers < 1:
         raise ValueError(f"--workers (workers) must be >= 1, got {cfg.workers}")
-    if "at_endpoint" in flags:
-        cfg.at_endpoint = True
-    if "N" in flags:
-        cfg.N_list = [flags["N"]]
     return cfg
 
 

@@ -8,22 +8,22 @@ kernel theta(x) = x * ell'(x) / ell(x) in closed form:
     iterated_log    ell(x) = l_m(x)               theta(x) = 1 / (l_1 ... l_m)(x)
     constant_one    ell(x) = 1                    theta(x) = 0
 
-with l_1 = log and l_{m+1} = log . l_m.  Derivatives of ell and h follow
-from the exp-chain rule: with u = theta/x (the log-derivative of ell),
+with l_1 = log and l_{m+1} = log . l_m.  Derivatives of h follow from
+the exp-chain rule: with v = (c + theta)/x (the log-derivative of h),
 
-    ell'/ell   = u
-    ell''/ell  = u' + u^2
-    ell'''/ell = u'' + 3 u u' + u^3
+    h'/h   = v
+    h''/h  = v' + v^2
+    h'''/h = v'' + 3 v v' + v^3
 
-and likewise for h with u replaced by v = (c + theta)/x.  Inverses are
-computed with a safeguarded Newton iteration that freezes each point at
-its first iterate within tolerance, so a point's result does not depend
-on the array it is solved in; an extended-precision residual correction
-yields head/tail value pairs accurate enough to take fractional parts of
-phi(n) for n up to ~1e8.  The difference window psi(n) = phi(n+1) - phi(n)
-on a run of consecutive n takes one solve over the run and its successor,
-and `pairs_and_window` hands out phi1's pairs from that solve when psi is
-phi1's own window.  Scans over an index range walk `index_chunks`.
+Inverses are computed with a safeguarded Newton iteration that freezes
+each point at its first iterate within tolerance, so a point's result
+does not depend on the array it is solved in; an extended-precision
+residual correction yields head/tail value pairs accurate enough to take
+fractional parts of phi(n) for n up to ~1e8.  The difference window
+psi(n) = phi(n+1) - phi(n) on a run of consecutive n takes one solve
+over the run and its successor, and `pairs_and_window` hands out phi1's
+pairs from that solve when psi is phi1's own window.  Scans over an
+index range walk `index_chunks`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-_KINDS = ("log_power", "exp_log_power", "iterated_log", "constant_one")
+ELL_KINDS = ("log_power", "exp_log_power", "iterated_log", "constant_one")
 
 # kinds whose ell is positive, eventually increasing to infinity
 _UNBOUNDED_KINDS = ("log_power", "exp_log_power", "iterated_log")
@@ -65,7 +65,7 @@ class SlowlyVaryingSpec:
     x0: float = field(default=0.0)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in ELL_KINDS:
             raise ValueError(f"unknown slowly varying kind {self.kind!r}")
         if self.kind in ("log_power", "exp_log_power") and not self.B > 0:
             raise ValueError("B must be positive")
@@ -88,7 +88,7 @@ class SlowlyVaryingSpec:
             x0 *= 2.0
         raise ValueError("could not locate a valid domain start")
 
-    # -- raw evaluations, no domain checks (used by the x0 search) --------
+    # -- raw evaluations, no domain checks (RegVaryFn checks its own) -----
 
     def _ell_raw(self, x):
         """ell in the precision of x (float64 or longdouble)."""
@@ -102,24 +102,6 @@ class SlowlyVaryingSpec:
                 v = np.log(v)
             return v
         return np.ones_like(x)
-
-    def _check(self, x):
-        if np.any(x < self.x0 * (1 - 1e-12)):
-            raise DomainError(f"x below domain start {self.x0} of {self}")
-
-    def ell(self, x):
-        """Value of the slowly varying factor."""
-        x, scalar = _as_array(x)
-        self._check(x)
-        return _ret(self._ell_raw(x), scalar)
-
-    def theta(self, x, order: int = 0):
-        """The kernel theta = x ell'/ell and its first two derivatives."""
-        x, scalar = _as_array(x)
-        self._check(x)
-        if order not in (0, 1, 2):
-            raise ValueError("theta order must be 0, 1 or 2")
-        return _ret(self._theta_raw(x, order), scalar)
 
     def _theta_raw(self, x, order):
         t = np.log(x)
@@ -162,26 +144,6 @@ class SlowlyVaryingSpec:
             [Apartial[j] / Q[j] for j in range(self.m)], axis=0
         ) / x
         return (A * A - Aprime) / Qm
-
-    def ell_deriv(self, x, order: int = 0):
-        """d^order/dx^order ell(x) for order in 0..3."""
-        x, scalar = _as_array(x)
-        self._check(x)
-        if order == 0:
-            return _ret(self._ell_raw(x), scalar)
-        th0 = self._theta_raw(x, 0)
-        u0 = th0 / x
-        if order == 1:
-            return _ret(self._ell_raw(x) * u0, scalar)
-        th1 = self._theta_raw(x, 1)
-        u1 = th1 / x - th0 / x**2
-        if order == 2:
-            return _ret(self._ell_raw(x) * (u1 + u0**2), scalar)
-        if order == 3:
-            th2 = self._theta_raw(x, 2)
-            u2 = th2 / x - 2 * th1 / x**2 + 2 * th0 / x**3
-            return _ret(self._ell_raw(x) * (u2 + 3 * u0 * u1 + u0**3), scalar)
-        raise ValueError("order must be in 0..3")
 
     def kv_items(self):
         items = [("family", self.kind)]

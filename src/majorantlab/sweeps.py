@@ -73,14 +73,19 @@ def golden_xis(k: int) -> np.ndarray:
 def xi_grid(rule: str, seed: int = 0) -> np.ndarray:
     """Frequency grids: 'golden:k' (with 0 and 1/2 pinned), 'random:k',
     or an explicit comma-separated list."""
-    if rule.startswith("golden:"):
-        k = int(rule.split(":", 1)[1])
-        return np.concatenate([[0.0, 0.5], golden_xis(k)])
-    if rule.startswith("random:"):
-        k = int(rule.split(":", 1)[1])
-        rng = np.random.default_rng(seed)
-        return np.concatenate([[0.0, 0.5], rng.random(k)])
-    xis = np.array([float(v) for v in rule.split(",") if v.strip() != ""])
+    head, _, count = rule.partition(":")
+    if head in ("golden", "random"):
+        if not count.isdecimal():
+            raise ValueError(f"xi-rule {rule!r} is not of the form {head}:k "
+                             f"with an integer k >= 0")
+        xis = (golden_xis(int(count)) if head == "golden"
+               else np.random.default_rng(seed).random(int(count)))
+        return np.concatenate([[0.0, 0.5], xis])
+    try:
+        xis = np.array([float(v) for v in rule.split(",") if v.strip() != ""])
+    except ValueError:
+        raise ValueError(f"xi-rule {rule!r} is neither golden:k, random:k "
+                         f"nor a comma-separated list of numbers") from None
     if not len(xis):
         raise ValueError(f"xi-rule {rule!r} holds no frequency")
     return xis

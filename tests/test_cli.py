@@ -198,15 +198,24 @@ def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
     ["count", "--N-list", "1e3", "--workers", "0"],
     ["count", "--N-list", "1e3", "--workers", "-2"],
     ["majorant", "--N-list", "256", "--method", "phase"],
+    ["vdc", "--levels", "10"],
+    ["vdc", "--levels", "a:b"],
+    ["vdc", "--xi-rule", "golden:x"],
+    ["vdc", "--xi-rule", "random:-1"],
+    ["vdc", "--xi-rule", "0.1,x"],
+    # the removed aliases of --N-list, --p-offset 0 and --ell1/--ell2
+    ["majorant", "--N-list", "256", "--N", "512"],
+    ["prop2", "--at-endpoint"],
+    ["count", "--N-list", "1e3", "--family", "log_power"],
 ])
 def test_exit_code_bad_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "invalid parameters" in err and err.count("\n") == 1
-    for flag in ("--xi-rule", "--m-max", "--p-offset", "--budget", "--grid-cap",
-                 "--workers"):
-        if flag in argv:
-            assert flag[2:] in err
+    # the flag under test is the last one given; the message names it
+    if argv[-2] in ("--xi-rule", "--m-max", "--p-offset", "--budget",
+                    "--grid-cap", "--workers", "--levels"):
+        assert argv[-2][2:] in err
     if "--p" in argv:
         assert "p must be finite" in err
 
@@ -411,6 +420,8 @@ def test_config_h_keys_keep_their_case(tmp_path):
     ("[params]\nmethod = phase\n", "key(s) method in [params]"),
     ("[experiment]\nname = thresholds\n",
      "names experiment 'thresholds', the subcommand is 'count'"),
+    # a file value goes through the choices of its flag (--format)
+    ("[params]\nfmt = cvs\n", "fmt = 'cvs' is not one of"),
 ])
 def test_config_bad_keys_are_invalid(tmp_path, capsys, text, word):
     cfg = tmp_path / "exp.ini"
@@ -419,6 +430,7 @@ def test_config_bad_keys_are_invalid(tmp_path, capsys, text, word):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "invalid parameters" in err and word in err
+    assert not list(tmp_path.glob("count.*"))
 
 
 @pytest.mark.parametrize("argv, bound", [

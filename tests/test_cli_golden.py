@@ -8,7 +8,9 @@ subparser accepts.  After an intended change of the output, rewrite it with
     PYTHONPATH=src python tests/test_cli_golden.py [CASE ...]
 
 Named cases (say `majorant prop2`) are rewritten with the parser surface
-and every other case is kept as it is; with no name every case is.
+and every other case is kept as it is; with no name every case is.  A
+rewritten case keeps each stored value that `same` accepts, so the diff
+shows only real changes, not last-digit float noise of another host.
 """
 
 import argparse
@@ -123,6 +125,20 @@ def same(want, got) -> bool:
     return type(want) is type(got) and want == got
 
 
+def settled(want, got):
+    """got, with each value that same() accepts against want kept as
+    want; keys and items that want lacks come from got."""
+    if same(want, got):
+        return want
+    if isinstance(want, dict) and isinstance(got, dict):
+        return {k: settled(want[k], v) if k in want else v
+                for k, v in got.items()}
+    if isinstance(want, list) and isinstance(got, list) \
+            and len(want) == len(got):
+        return list(map(settled, want, got))
+    return got
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text())
@@ -150,11 +166,14 @@ if __name__ == "__main__":
     if unknown:
         sys.exit(f"unknown case(s) {', '.join(unknown)}; "
                  f"known: {', '.join(CASES)}")
-    fixture = (json.loads(FIXTURE.read_text()) if sys.argv[1:]
-               else {"cases": {}})
+    fixture = json.loads(FIXTURE.read_text())
+    stored = fixture["cases"]
+    if not sys.argv[1:]:
+        fixture["cases"] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
-            fixture["cases"][name] = run_case(name, Path(tmp))
+            fixture["cases"][name] = settled(stored.get(name),
+                                             run_case(name, Path(tmp)))
     fixture["parser"] = parser_surface()
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")
     print(f"wrote {', '.join(names)} to {FIXTURE}", file=sys.stderr)

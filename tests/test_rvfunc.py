@@ -54,7 +54,16 @@ def test_exp_log_power_first_derivative_against_finite_difference():
     assert h.deriv(x, 1) == pytest.approx(fd, rel=1e-8)
 
 
-@pytest.mark.parametrize("name,make", FAMILIES)
+# further slowly varying factors, as h = x * ell, for the derivative check
+ELL_FAMILIES = [
+    ("x_log15", lambda: RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.5))),
+    ("x_exp_log_pow", lambda: RegVaryFn(
+        1.0, SlowlyVaryingSpec("exp_log_power", B=0.7, C=0.3))),
+    ("x_iterlog2", lambda: RegVaryFn(1.0, SlowlyVaryingSpec("iterated_log", m=2))),
+]
+
+
+@pytest.mark.parametrize("name,make", FAMILIES + ELL_FAMILIES)
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_h_derivatives_match_finite_differences(name, make, order):
     h = make()
@@ -72,20 +81,6 @@ def test_h_convex_and_increasing(name, make):
     xs = np.exp(np.linspace(np.log(h.x0), np.log(1e12), 400))
     assert np.all(h.deriv(xs, 1) > 0)
     assert np.all(h.deriv(xs, 2) >= 0)
-
-
-def test_ell_derivatives_match_finite_differences():
-    for spec in [SlowlyVaryingSpec("log_power", B=1.5),
-                 SlowlyVaryingSpec("exp_log_power", B=0.7, C=0.3),
-                 SlowlyVaryingSpec("iterated_log", m=2)]:
-        xs = np.exp(np.linspace(np.log(4 * spec.x0), 25.0, 50))
-        for order in (1, 2, 3):
-            step = xs * 1e-5
-            fd = (spec.ell_deriv(xs + step, order - 1)
-                  - spec.ell_deriv(xs - step, order - 1)) / (2 * step)
-            got = spec.ell_deriv(xs, order)
-            scale = np.maximum(np.abs(fd), np.abs(got))
-            assert np.all(np.abs(got - fd) <= 2e-5 * scale)
 
 
 def test_domain_error_below_x0():
