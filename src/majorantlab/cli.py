@@ -29,7 +29,7 @@ from .errors import AdmissibilityError, CapacityError, ConvergenceError
 from .expsum import error_term, vdc_ratio_sweep, weighted_inverse_vs_dirichlet
 from .majorant import DEFAULT_BUDGET, p_threshold, uniformity_sweep
 from .rvfunc import ELL_KINDS, InverseFn, PsiFn, RegVaryFn
-from .sparseset import SetSpec, build_frac_set, build_set
+from .sparseset import SetSpec, build_frac_set, build_set, frac_scan
 from .sweeps import SweepResult, per_row, sweep, write_csv, write_jsonl, xi_grid
 from .trigpoly import (
     GRID_CAP_DEFAULT,
@@ -87,7 +87,9 @@ def _family(kv: dict, default_c: float = 1.0) -> RegVaryFn:
         f"{k}={v}" for k, v in {"c": default_c, **kv}.items()))
 
 
-def _levels_list(spec: str) -> list:
+def _levels_list(spec: str, first: int) -> list:
+    """The dyadic N = 2^lo .. 2^hi of a lo:hi spec; every N must be at
+    least `first`, the smallest N the experiment can use."""
     lo, _, hi = spec.partition(":")
     try:
         levels = [2**j for j in range(int(lo), int(hi) + 1)]
@@ -96,6 +98,10 @@ def _levels_list(spec: str) -> list:
     if not levels:
         raise ValueError(f"levels {spec!r} is not of the form lo:hi with "
                          f"integer exponents lo <= hi")
+    if levels[0] < first:
+        raise ValueError(f"levels {spec!r} start below "
+                         f"{(first - 1).bit_length()}, the smallest usable "
+                         f"level: N = 2^lo must be at least {first}")
     return levels
 
 
@@ -169,7 +175,8 @@ def _exp_vdc(cfg: ExperimentConfig):
     h1, h2 = _family(cfg.h1), _family(cfg.h2)
     phi1 = InverseFn(h1)
     psi = PsiFn(InverseFn(h2), mode=cfg.psi_mode)
-    levels = _levels_list(cfg.levels)
+    # the Lemma 1 bound takes phi1(N) and log N
+    levels = _levels_list(cfg.levels, max(2, math.ceil(phi1.y0)))
 
     def task(xis):
         rows = vdc_ratio_sweep(phi1, psi, cfg.m_max, xis, levels)
@@ -214,7 +221,9 @@ def _exp_prop2(cfg: ExperimentConfig):
             ),
         ]
 
-    return sweep(_levels_list(cfg.levels), task, per_row(lambda r: r.value),
+    # below the scan's first index the set is empty
+    levels = _levels_list(cfg.levels, frac_scan(h1, h2, cfg.psi_mode)[2])
+    return sweep(levels, task, per_row(lambda r: r.value),
                  key=lambda r: r.quantity, workers=cfg.workers)
 
 

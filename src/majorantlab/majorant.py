@@ -8,8 +8,10 @@ an extreme point, i.e. at unimodular coefficients; searching over
 |a_n| = 1 loses nothing.
 
 Every reported value is the ratio of two quadrature norms at a feasible
-coefficient choice, hence a certified lower bound of the supremum; the
-gap to the true supremum is unknown in general and outputs say so.
+coefficient choice, hence a lower estimate of the supremum, up to the
+quadrature's stopping error: `lp_norm` stops on a successive-difference
+rule, which bounds no error.  The gap to the true supremum is unknown in
+general and outputs say so.
 
 Search strategy (defaults follow the package-wide reproducibility
 conventions: a master seed, derived per-restart seeds, max reduction

@@ -256,16 +256,23 @@ def build_floor_set(h: RegVaryFn, N: int, cap: int = DEFAULT_CAP,
                      phi1=phi, psi=None)
 
 
+def frac_scan(h1: RegVaryFn, h2: RegVaryFn, psi_mode: str = "difference"):
+    """phi1, the window psi and n_min, the first index that a frac set of
+    (h1, h2) scans: phi1 is defined from h1(x0) on and psi is at most 1/2
+    from psi.n_min on, so no such set has a member below n_min."""
+    phi1 = InverseFn(h1)
+    phi2 = phi1 if h2 == h1 else InverseFn(h2)
+    psi = PsiFn(phi2, mode=psi_mode)
+    return phi1, psi, max(psi.n_min, math.ceil(phi1.y0 - 1e-9))
+
+
 def build_frac_set(spec: SetSpec, guard: float = DEFAULT_GUARD,
                    cap: int = DEFAULT_CAP) -> SparseSet:
     """Scan [n_min, N] with member_frac; deterministic, chunked."""
     if spec.kind not in ("frac_plus", "frac_minus"):
         raise ValueError("build_frac_set needs a frac_plus or frac_minus spec")
     sign = 1 if spec.kind == "frac_plus" else -1
-    phi1 = InverseFn(spec.h1)
-    phi2 = phi1 if spec.h2 == spec.h1 else InverseFn(spec.h2)
-    psi = PsiFn(phi2, mode=spec.psi_mode)
-    n_min = max(psi.n_min, math.ceil(phi1.y0 - 1e-9))
+    phi1, psi, n_min = frac_scan(spec.h1, spec.h2, spec.psi_mode)
     N = spec.N
     if N - n_min + 1 > cap:
         raise CapacityError(f"frac set scan of {N - n_min + 1} exceeds cap {cap}")

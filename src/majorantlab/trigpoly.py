@@ -24,15 +24,23 @@ The restriction row is the largest ratio ||F(f mu_N)||_p N^(1/p) /
 ||f||_{L2(mu_N)} over seeded test functions f, all-ones first.  A random
 f gets its quadrature only if a certified upper bound on its ratio
 reaches the best ratio found so far.  For P of degree D, S = max |P| on
-lp_norm's first grid of K0 >= 8 (D+1) points bounds the sup norm:
-Bernstein's inequality for e(-D x/2) P, of exponential type pi D, gives
-||P||_inf <= S / (1 - pi D / (2 K0)), a factor of at most 1/(1 - pi/16).
-For p >= 2, Hoelder between L2 and L^inf gives ||P||_p^p <= ||P||_inf^(p-2)
-||P||_2^2, with ||P||_2 the l2 norm of the coefficients (Parseval).  For
-p < 2 no such bound follows, and every f gets its quadrature.  A bound
-below the best ratio by a factor 1 + 10 tol, the quadrature tolerance,
-skips the f: the margin covers FFT rounding and lp_norm's own stopping
-error, so the row is the maximum of the full loop, bit for bit.
+a grid of K > pi D / 2 points bounds the sup norm: Bernstein's
+inequality for e(-D x/2) P, of exponential type pi D, gives
+||P||_inf <= S / (1 - pi D / (2 K)).  For p >= 2, with 2k the largest
+even integer <= p (at most 16), Hoelder between L^2k and L^inf gives
+||P||_p^p <= ||P||_inf^(p-2k) ||P||_2k^2k.  For k = 1 (2 <= p < 4),
+||P||_2 is the l2 norm of the coefficients (Parseval), and S comes from
+lp_norm's first grid, K = 8 M with M = _start_grid(D) / 8, so the
+factor is at most 1/(1 - pi/16).  For k >= 2 the grid has K = c M
+points, c >= 2 the smallest power of two with c M > k D: the mean of
+|P|^2k over it is ||P||_2k^2k exactly, as |P|^2k has degree k D, and S
+is taken on the same points.  At p = 4.2 that is 2 of the 8 cosets of
+the first grid, and Bernstein's factor, up to 1/(1 - pi/4), enters only
+to the power 1 - 4/p.  For p < 2 no such bound follows, and every f
+gets its quadrature.  A bound below the best ratio by a factor
+1 + 10 tol, the quadrature tolerance, skips the f: the margin covers FFT
+rounding and lp_norm's own stopping error, so the row is the maximum of
+the full loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -358,20 +366,34 @@ def fourier_of_measure(m: DiscreteMeasure, xis) -> np.ndarray:
          for a in range(0, len(m.atoms), CHUNK)), xis)
 
 
-def _first_grid_max(support: np.ndarray, coeff_rows) -> tuple[np.ndarray, int]:
-    """max of |sum of row * e(n xi)| over the support on lp_norm's first
-    grid, xi = j/K0 with K0 = _start_grid(support[-1]), for each row of
-    `coeff_rows`, and K0.  The grid is taken as its 8 cosets of one
-    `_grid_dft`; the loop over cosets is the outer one, so each turn
-    e(n r/K0) is built once and applied to every row, and only one turn
-    vector is alive at a time."""
-    K = _start_grid(int(support[-1]))
-    values, _ = _grid_dft(support, K // 8)
+def _first_grid_max(support: np.ndarray, coeff_rows, cosets: int = 8,
+                    k: int = 0, sums: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, int]:
+    """max of |P| for P = sum of row * e(n xi) over the support, one per
+    row of `coeff_rows`, on the grid xi = j/K of K = cosets * M points,
+    M = _start_grid(support[-1]) / 8, and K.  At the default 8 cosets
+    this is lp_norm's first grid.  With k >= 1, sums[i] also receives the
+    sum of |P|^(2k) over the grid for row i.  The grid is taken as its
+    cosets of one `_grid_dft` of length M; the loop over cosets is the
+    outer one, so each turn e(n r/K) is built once and applied to every
+    row, and only one turn vector is alive at a time."""
+    M = _start_grid(int(support[-1])) // 8
+    K = cosets * M
+    values, _ = _grid_dft(support, M)
     top = np.zeros(len(coeff_rows))
-    for r in range(8):
+    for r in range(cosets):
         turn = np.exp(2j * np.pi * (((support * r) % K) / K))
         for i, row in enumerate(coeff_rows):
-            top[i] = max(top[i], float(np.max(np.abs(values(row * turn)))))
+            mags = np.abs(values(row * turn))
+            top[i] = max(top[i], float(np.max(mags)))
+            if k:
+                # |P|^(2k) as (|P|^2)^k; a float exponent keeps k = 2 a square
+                np.square(mags, out=mags)
+                sums[i] += np.sum(np.power(mags, float(k), out=mags))
+            # freed before the next row's product row * turn is built, so
+            # the two never coexist: for the dense support of
+            # fourier_sup_of_difference each takes 8 M bytes
+            del mags
     return top, K
 
 
@@ -392,14 +414,27 @@ def _lp_norm_bounds(support: np.ndarray, coeff_rows: np.ndarray,
                     p: float) -> np.ndarray:
     """Upper bounds on ||P||_p, p >= 2, for P = sum of row * e(n .) over
     the support, one per row of the 2-d `coeff_rows`:
-    (S / (1 - pi D / (2 K0)))^(1 - 2/p) * ||row||_2^(2/p), S and K0 from
-    `_first_grid_max` and D = support[-1] (Bernstein, then Hoelder between
-    L2 and L^inf; module docstring).  Tight at p = 2, up to rounding; at
-    p = inf it is the sup bound itself."""
-    S, K = _first_grid_max(support, coeff_rows)
-    sup = S / (1.0 - math.pi * int(support[-1]) / (2 * K))
-    l2 = np.sqrt(np.sum(np.abs(coeff_rows) ** 2, axis=1))
-    return sup ** (1.0 - 2.0 / p) * l2 ** (2.0 / p)
+    (S / (1 - pi D / (2 K)))^(1 - 2k/p) * ||P||_2k^(2k/p), with D =
+    support[-1] and 2k, S and K as in the module docstring.  For k >= 2
+    one `_first_grid_max` pass gives S and ||P||_2k^2k, the mean of
+    |P|^2k over its K = c M points.  Tight at p = 2, 4, 6 and 8, up to
+    rounding; at p = inf (taken as k = 1) it is the sup bound itself."""
+    D = int(support[-1])
+    k = 1 if math.isinf(p) else min(int(p) // 2, 8)
+    if k == 1:
+        S, K = _first_grid_max(support, coeff_rows)
+        l2 = np.sqrt(np.sum(np.abs(coeff_rows) ** 2, axis=1))
+        moment_part = l2 ** (2.0 / p)
+    else:
+        M = _start_grid(D) // 8
+        cosets = 2
+        while cosets * M <= k * D:
+            cosets *= 2
+        sums = np.zeros(len(coeff_rows))
+        S, K = _first_grid_max(support, coeff_rows, cosets, k, sums)
+        moment_part = (sums / K) ** (1.0 / p)
+    sup = S / (1.0 - math.pi * D / (2 * K))
+    return sup ** (1.0 - 2 * k / p) * moment_part
 
 
 # --------------------------------------------------- restriction operators
@@ -448,15 +483,19 @@ def restriction_ratio_max(bset: SparseSet, p: float, trials: int = 16,
     derive_seed(derive_seed(seed, N), t), t = 1..trials-1.
 
     For p >= 2 the random f are bounded first, all in one call of
-    `_lp_norm_bounds` (module docstring).  Going through the trials in
-    order, an f whose bounded ratio times 1 + 10 tol stays below the best
-    ratio so far is skipped without its quadrature.  It cannot be the
+    `_lp_norm_bounds`: Bernstein's sup bound and the exact L^2k norm,
+    2k the largest even integer <= p, joined by Hoelder (module
+    docstring).  Going through the trials in order, an f whose bounded
+    ratio times 1 + 10 tol stays below the best ratio so far is skipped
+    without its quadrature.  It cannot be the
     maximum, so the value equals the maximum over a full loop of
-    `lp_norm` calls, bit for bit."""
+    `lp_norm` calls, bit for bit.  An empty set raises ValueError."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    mu = measure_mu(bset)
     N = bset.spec.N
+    if len(bset) == 0:
+        raise ValueError(f"the set is empty at N = {N}: no ratio is defined")
+    mu = measure_mu(bset)
 
     def ratio(f, den):
         P = extension_poly(f, mu)

@@ -207,17 +207,34 @@ def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
     ["majorant", "--N-list", "256", "--N", "512"],
     ["prop2", "--at-endpoint"],
     ["count", "--N-list", "1e3", "--family", "log_power"],
+    # levels below the smallest usable one: an empty B_1, a fractional N
+    # and an N below phi1's domain
+    ["prop2", "--levels", "0:2"],
+    ["prop2", "--levels=-1:2"],
+    ["vdc", "--levels", "0:3"],
 ])
 def test_exit_code_bad_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "invalid parameters" in err and err.count("\n") == 1
-    # the flag under test is the last one given; the message names it
-    if argv[-2] in ("--xi-rule", "--m-max", "--p-offset", "--budget",
-                    "--grid-cap", "--workers", "--levels"):
-        assert argv[-2][2:] in err
+    # the flag under test is the last one given (as --flag value or
+    # --flag=value); the message names it
+    flag = argv[-1].partition("=")[0] if "=" in argv[-1] else argv[-2]
+    if flag in ("--xi-rule", "--m-max", "--p-offset", "--budget",
+                "--grid-cap", "--workers", "--levels"):
+        assert flag[2:] in err
     if "--p" in argv:
         assert "p must be finite" in err
+
+
+def test_levels_below_domain_name_the_smallest_level(tmp_path, capsys):
+    # x log x is defined from h(2) = 1.39 on, so level 1 is the first
+    # usable one for vdc and prop2 alike, and it runs
+    for argv in (["vdc", "--levels", "0:3"], ["prop2", "--levels", "0:2"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "start below 1, the smallest usable level" in capsys.readouterr().err
+    assert main(["prop2", "--levels", "1:2", "--trials", "2", "--out",
+                 str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("outside", [None, "8192"])

@@ -437,6 +437,14 @@ def test_restriction_ratio_max_bounded_small():
     assert restriction_ratio_max(b, p=3.0, trials=4, seed=11) == ratio
 
 
+def test_restriction_ratio_max_rejects_an_empty_set():
+    # B_1 has no member, so no test function has a finite ratio
+    b = bset_prop2(1)
+    assert len(b) == 0
+    with pytest.raises(ValueError, match="empty"):
+        restriction_ratio_max(b, p=4.2, trials=2)
+
+
 def bset_prop2(N):
     """The restriction workload's family: h1 = x log x, h2 = x^1.1 log x."""
     h1 = RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
@@ -462,7 +470,7 @@ def restriction_ratios_full(bset, p, trials, seed, tol=1e-8):
     return out
 
 
-@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.2, 6.0])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 4.2, 5.0, 6.0, 7.5, 9.0])
 def test_lp_norm_bounds_hold(p):
     # random polynomials, several rows per support, with the degree at
     # M - 1 (the loosest Bernstein factor) or anywhere up to 4096; and a
@@ -489,6 +497,20 @@ def test_lp_norm_bounds_hold(p):
     if p == 2.0:
         # tight at p = 2: the bound is the l2 norm of the coefficients
         assert _lp_norm_bounds(support, rows, p)[0] == pytest.approx(got, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [4, 6, 8])
+def test_lp_norm_bounds_exact_at_even_p(p):
+    # at p = 2k the sup's exponent is 0 and the bound is the exact moment
+    # on a grid of more than k D points
+    r = np.random.default_rng(61)
+    for top in (1023, 1500):
+        support = np.append(np.sort(r.choice(top, size=19, replace=False)), top)
+        rows = r.standard_normal((2, 20)) + 1j * r.standard_normal((2, 20))
+        bounds = _lp_norm_bounds(support, rows, p)
+        for row, bound in zip(rows, bounds):
+            exact = even_p_oracle(TrigPoly(support, row), p) ** (1 / p)
+            assert bound == pytest.approx(exact, rel=1e-12)
 
 
 def test_sup_bound_covers_a_peak_between_grid_points():
@@ -530,9 +552,9 @@ def test_restriction_ratio_max_equals_full_loop(p, level):
 
 
 def test_restriction_ratio_max_runs_one_quadrature(monkeypatch):
-    # on the workload's family at 2^13 every random f is bounded below
-    # the all-ones ratio, so only all-ones gets its quadrature
-    b = bset_prop2(2**13)
+    # on the workload's family (criterion 9's set at p = 4.2, seed 7)
+    # every random f is bounded below the all-ones ratio, so only
+    # all-ones gets its quadrature
     p = p_threshold(1.0, 1.1) + 0.7
     calls = []
     lp = trigpoly.lp_norm
@@ -542,12 +564,15 @@ def test_restriction_ratio_max_runs_one_quadrature(monkeypatch):
         return lp(P, *args, **kwargs)
 
     monkeypatch.setattr(trigpoly, "lp_norm", counting_lp_norm)
-    ratio = restriction_ratio_max(b, p, trials=16, seed=7)
-    assert len(calls) == 1
-    ones = np.ones(len(b), dtype=np.complex128)
-    mu = measure_mu(b)
-    assert ratio == (lp(extension_poly(ones, mu), p).value * (2**13) ** (1 / p)
-                     / l2_norm_weighted(ones, mu))
+    for level in (10, 11, 13):
+        b = bset_prop2(2**level)
+        calls.clear()
+        ratio = restriction_ratio_max(b, p, trials=16, seed=7)
+        assert len(calls) == 1, level
+        ones = np.ones(len(b), dtype=np.complex128)
+        mu = measure_mu(b)
+        assert ratio == (lp(extension_poly(ones, mu), p).value
+                         * (2**level) ** (1 / p) / l2_norm_weighted(ones, mu))
 
 
 def test_weighted_l2_norm():
