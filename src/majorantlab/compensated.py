@@ -14,14 +14,6 @@ import numpy as np
 _SPLITTER = 134217729.0
 
 
-def two_sum(a, b):
-    """Return (s, e) with s = fl(a+b) and s + e == a + b exactly."""
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb)
-    return s, e
-
-
 def split(a):
     c = _SPLITTER * a
     hi = c - (c - a)

@@ -18,7 +18,8 @@ conventions: a master seed, derived per-restart seeds, max reduction
 with earliest-restart tie-break):
 
 * all ones: the reference polynomial itself, ratio 1;
-* sign patterns: all of them, when 2^(|A|-1) is small enough;
+* sign patterns: all 2^(|A|-1) of them, the first pinned to +1, while
+  |A| - 1 <= EXHAUSTIVE_SIGN_LIMIT = 12, max(1, 2^22 // K) per batch;
 * phases: L-BFGS ascent on the grid-discretized objective (two-loop
   recursion over the last 8 curvature pairs, steepest ascent when that
   direction does not ascend) with backtracking line search from the unit
@@ -47,7 +48,7 @@ DEFAULT_BUDGET = 2 * DEFAULT_RESTARTS * DEFAULT_MAX_ITER
 ARMIJO = 1e-4
 LBFGS_MEMORY = 8               # curvature pairs the phase ascent keeps
 GRAD_STOP = 1e-7
-EXHAUSTIVE_SIGN_LIMIT = 12     # 2^(|A|-1) <= 2048 patterns: cheap to enumerate
+EXHAUSTIVE_SIGN_LIMIT = 12     # 2^12 sign patterns, max(1, 2^22 // K) a batch
 BRUTE_FORCE_BUDGET = 1 << 31
 
 
@@ -113,6 +114,13 @@ class MajorantEstimate:
     trials: int
     norm_tol: float
     budget_exhausted: bool = False
+
+
+def _quad_tol(tol: float) -> float:
+    """tol raised to lp_norm's floor 1e-12, checked before any search."""
+    if not tol <= 1e-2:
+        raise ValueError(f"tol must be at most 1e-2, got {tol}")
+    return max(tol, 1e-12)
 
 
 # ----------------------------------------------------- discretized objective
@@ -245,27 +253,36 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
     return theta, F, max(used, 1)
 
 
-def _exhaustive_signs(obj: _GridObjective, n_free: int):
-    """All sign patterns with the first coefficient pinned to +1."""
-    count = 1 << n_free
-    best_F = -math.inf
-    best = None
-    chunk = 1 << 11
+_ALPHABETS = {
+    "signs": np.array([1.0 + 0.0j, -1.0 + 0.0j]),
+    "fourth_roots": np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]),
+}
+
+
+def _best_pattern(obj: _GridObjective, letters, n_free: int):
+    """(pattern, count): the largest F of all len(letters)**n_free
+    patterns, the coefficients before the last n_free pinned to 1.  Digit
+    j of pattern i in base len(letters), least significant first, picks
+    the letter at free position j.  A batch scores max(1, 2^22 // K)
+    patterns on the K-point grid; the earliest argmax wins."""
+    radix = len(letters)
+    count = radix ** n_free
+    pinned = len(obj.support) - n_free
+    powers = radix ** np.arange(n_free, dtype=np.int64)
+    best_F, best = -math.inf, None
+    chunk = max(1, (1 << 22) // obj.K)
     for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count), dtype=np.uint64)
-        bits = (idx[:, None] >> np.arange(n_free, dtype=np.uint64)[None, :]) & 1
-        pats = np.concatenate(
-            [np.ones((len(idx), 1)), 1.0 - 2.0 * bits.astype(np.float64)], axis=1)
+        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
+        pats = np.ones((len(idx), len(obj.support)), dtype=np.complex128)
+        pats[:, pinned:] = letters[(idx[:, None] // powers) % radix]
         dense = np.zeros((len(idx), obj.K), dtype=np.complex128)
         dense[:, obj.support] = pats
         vals = np.fft.ifft(dense, axis=1, norm="forward", out=dense)
         F = np.mean(np.abs(vals) ** obj.p, axis=1)
-        obj.evals += len(idx)
-        k = int(np.argmax(F))
-        if F[k] > best_F:
-            best_F = float(F[k])
-            best = pats[k]
-    return best, best_F, count
+        j = int(np.argmax(F))
+        if F[j] > best_F:
+            best_F, best = float(F[j]), pats[j].copy()
+    return best, count
 
 
 def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
@@ -282,6 +299,7 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
     earlier restarts winning ties.  `cap` is the grid cap of the
     quadratures that re-measure the finalists.
     """
+    qtol = _quad_tol(tol)
     A = prob.A
     obj = _GridObjective(A, prob.p)
     ones = np.ones(len(A), dtype=np.complex128)
@@ -291,8 +309,8 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
     exhausted = False
 
     if len(A) - 1 <= EXHAUSTIVE_SIGN_LIMIT:
-        pat, _, count = _exhaustive_signs(obj, len(A) - 1)
-        finalists.append(("signs_exhaustive", pat.astype(np.complex128)))
+        pat, count = _best_pattern(obj, _ALPHABETS["signs"], len(A) - 1)
+        finalists.append(("signs_exhaustive", pat))
         trials += count
         used += 1
 
@@ -315,11 +333,11 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
 
     # the grid objective only ranks; re-measure the best candidate of each
     # search with the adaptive quadrature and let the true values decide
-    base = lp_norm(TrigPoly(A, ones), prob.p, tol=max(tol, 1e-12), cap=cap).value
+    base = lp_norm(TrigPoly(A, ones), prob.p, tol=qtol, cap=cap).value
     value, best_method, best_coeffs = 1.0, "all_ones", ones
     for meth, coeffs in finalists:
         ratio = lp_norm(TrigPoly(A, coeffs), prob.p,
-                        tol=max(tol, 1e-12), cap=cap).value / base
+                        tol=qtol, cap=cap).value / base
         if ratio > value:
             value, best_method, best_coeffs = ratio, meth, coeffs
     return MajorantEstimate(value=value, argmax_coeffs=best_coeffs, support=A,
@@ -330,58 +348,30 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
 # ------------------------------------------------------------- brute force
 
 
-_ALPHABETS = {
-    "signs": np.array([1.0 + 0.0j, -1.0 + 0.0j]),
-    "fourth_roots": np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]),
-}
-
-
-def brute_force_constant(A, p: float, alphabet: str = "signs", k: int | None = None,
+def brute_force_constant(A, p: float, alphabet: str = "signs",
                          fix_global_phase: bool = True, tol: float = 1e-9,
                          budget: int = BRUTE_FORCE_BUDGET) -> MajorantEstimate:
-    """Exhaustive maximization over a finite coefficient alphabet.
+    """Exhaustive maximization over the alphabet "signs" or "fourth_roots".
 
     The objective is invariant under one global unimodular factor, so the
     first coefficient is pinned to 1 by default; fix_global_phase=False
     enumerates all positions (for testing that the quotient is lossless).
     """
     A = _support(A)
-    if alphabet == "phase_grid":
-        if k is None or k < 1:
-            raise ValueError("phase_grid needs k")
-        letters = np.exp(2j * np.pi * np.arange(k) / k)
-    elif alphabet in _ALPHABETS:
-        letters = _ALPHABETS[alphabet]
-    else:
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    qtol = _quad_tol(tol)
+    if alphabet not in _ALPHABETS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     n_free = len(A) - 1 if fix_global_phase else len(A)
-    count = len(letters) ** n_free
+    count = len(_ALPHABETS[alphabet]) ** n_free
     obj = _GridObjective(A, p)
     if count * obj.K > budget:
         raise CapacityError(
             f"{count} patterns on a grid of {obj.K} exceeds budget {budget}")
-    radix = len(letters)
-    best_F = -math.inf
-    best = None
-    chunk = max(1, (1 << 22) // obj.K)
-    for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
-        digits = (idx[:, None] // radix ** np.arange(n_free)[None, :]) % radix
-        pats = letters[digits]
-        if fix_global_phase:
-            pats = np.concatenate(
-                [np.ones((len(idx), 1), dtype=np.complex128), pats], axis=1)
-        dense = np.zeros((len(idx), obj.K), dtype=np.complex128)
-        dense[:, A] = pats
-        vals = np.fft.ifft(dense, axis=1, norm="forward", out=dense)
-        F = np.mean(np.abs(vals) ** p, axis=1)
-        j = int(np.argmax(F))
-        if F[j] > best_F:
-            best_F = float(F[j])
-            best = pats[j]
-    base = lp_norm(TrigPoly(A, np.ones(len(A), dtype=np.complex128)), p,
-                   tol=max(tol, 1e-12)).value
-    top = lp_norm(TrigPoly(A, best), p, tol=max(tol, 1e-12)).value
+    best, _ = _best_pattern(obj, _ALPHABETS[alphabet], n_free)
+    base = lp_norm(TrigPoly(A, np.ones(len(A))), p, tol=qtol).value
+    top = lp_norm(TrigPoly(A, best), p, tol=qtol).value
     return MajorantEstimate(value=top / base, argmax_coeffs=best, support=A,
                             method="brute_force", trials=count, norm_tol=tol)
 

@@ -98,10 +98,6 @@ class SparseSet:
     def borderline_fraction(self) -> float:
         return self.borderline_count / max(len(self.members), 1)
 
-    def restricted(self, N: int) -> np.ndarray:
-        """Members <= N (the set construction is monotone in N)."""
-        return self.members[: np.searchsorted(self.members, N, side="right")]
-
     # --------------------------------------------------------- export
 
     def _header_lines(self):

@@ -116,9 +116,6 @@ class TrigPoly:
             out += np.exp(2j * np.pi * ph) @ self.coeffs[a:a + step]
         return out
 
-    def shifted(self, k: int) -> "TrigPoly":
-        return TrigPoly(self.support + int(k), self.coeffs.copy())
-
     def l2_coeff_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
@@ -447,11 +444,6 @@ def extension_poly(f_vals, m: DiscreteMeasure) -> TrigPoly:
     if f_vals.shape != m.atoms.shape:
         raise ValueError("f must be given on the atoms of the measure")
     return TrigPoly(m.atoms.copy(), f_vals * m.masses)
-
-
-def apply_extension(f_vals, m: DiscreteMeasure, xi_grid) -> np.ndarray:
-    """Sample F(f m) at explicit frequencies."""
-    return extension_poly(f_vals, m).evaluate(xi_grid)
 
 
 def ttstar_apply(f: TrigPoly, m: DiscreteMeasure) -> TrigPoly:

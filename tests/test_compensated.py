@@ -12,7 +12,6 @@ from majorantlab.compensated import (
     frac_pair,
     frac_product,
     two_prod,
-    two_sum,
 )
 
 # a few units in the last place of numbers in [0, 1)
@@ -28,8 +27,7 @@ def finite(lo, hi):
                      allow_infinity=False)
 
 
-# no overflow in the sums and splittings, no underflow in the products
-sum_operand = finite(-1e300, 1e300)
+# no overflow in the splittings, no underflow in the products
 prod_operand = finite(-1e150, 1e150).filter(lambda x: x == 0 or abs(x) > 1e-100)
 
 
@@ -47,14 +45,6 @@ def check_unit(x) -> float:
     x = float(x)
     assert 0.0 <= x < 1.0
     return x
-
-
-@exact
-@given(sum_operand, sum_operand)
-def test_two_sum_is_exact(a, b):
-    s, e = two_sum(a, b)
-    assert s == a + b
-    assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
 
 
 @exact
