@@ -14,15 +14,13 @@ from majorantlab import (
     SlowlyVaryingSpec,
     TrigPoly,
     build_frac_set,
-    fit_loglog_slope,
     fourier_of_measure,
     measure_mu,
     measure_nu,
     p_threshold,
-    restriction_ratio_max,
+    restriction_sweep,
     ttstar_apply,
 )
-from majorantlab.trigpoly import fourier_sup_of_difference
 
 
 def main():
@@ -39,15 +37,22 @@ def main():
     print(f"   F(nu)(0.31) = {fourier_of_measure(nu, [0.31])[0]:.6f}")
     print()
 
-    print("sup |F(mu_N - nu_N)| across N:")
+    # both rows of every N come from one restriction_sweep, which builds
+    # mu_N once per N; test functions: all-ones and 7 random f
+    p = p_threshold(1.0, 1.1) + 0.5
     Ns = [2**10, 2**12, 2**14, 2**16]
-    sups = []
-    for n in Ns:
-        bn = build_frac_set(SetSpec("frac_plus", h1, h2, n))
-        sup, grid = fourier_sup_of_difference(measure_mu(bn), measure_nu(n))
-        sups.append(sup)
-        print(f"   N = {n:>6}: sup = {sup:.5f} (grid {grid})")
-    print(f"   fitted exponent: {fit_loglog_slope(Ns, sups):.3f}")
+    rows = restriction_sweep(
+        lambda n: build_frac_set(SetSpec("frac_plus", h1, h2, n)), p, Ns,
+        trials=8, seed=3)
+    ratios, sups = rows[0::2], rows[1::2]
+    print(f"sup |F(mu_N - nu_N)| and the largest restriction ratio at "
+          f"p = {p:.2f} across N:")
+    for r, s in zip(ratios, sups):
+        print(f"   N = {r.params['N']:>6}: sup = {s.value:.5f} "
+              f"(grid {s.params['grid']}), ratio = {r.value:.4f}")
+    print(f"   fitted exponents: sup {sups[0].exponent:.3f}, "
+          f"ratio {ratios[0].exponent:.4f}")
+    print("   the ratio stays bounded across N per the TT* estimate")
     print()
 
     # TT* multiplies Fourier coefficients by the masses
@@ -55,13 +60,6 @@ def main():
     out = ttstar_apply(f, mu)
     print("TT* on a 5-term polynomial supported in B_N:")
     print("   masses applied:", np.round(out.coeffs.real, 6).tolist())
-    print()
-
-    p = p_threshold(1.0, 1.1) + 0.5
-    ratio = restriction_ratio_max(b, p, trials=8, seed=3)
-    print(f"largest restriction ratio at p = {p:.2f} over all-ones and 7 "
-          f"random f: {ratio:.4f}")
-    print("   bounded across N per the TT* estimate")
 
 
 if __name__ == "__main__":

@@ -54,6 +54,7 @@ from .trigpoly import (
     measure_mu,
     measure_nu,
     restriction_ratio_max,
+    restriction_sweep,
     ttstar_apply,
 )
 
@@ -69,7 +70,7 @@ __all__ = [
     "TrigPoly", "QuadratureResult", "DiscreteMeasure", "lp_norm",
     "even_p_oracle", "lower_bound_lowfreq", "measure_mu", "measure_nu",
     "fourier_of_measure", "extension_poly", "ttstar_apply",
-    "restriction_ratio_max",
+    "restriction_ratio_max", "restriction_sweep",
     "MajorantProblem", "MajorantEstimate", "p_threshold", "estimate_constant",
     "brute_force_constant", "hy_envelope", "uniformity_sweep",
     "SweepResult", "derive_seed", "fit_loglog_slope", "golden_xis",

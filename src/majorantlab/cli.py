@@ -31,13 +31,7 @@ from .majorant import DEFAULT_BUDGET, p_threshold, uniformity_sweep
 from .rvfunc import ELL_KINDS, InverseFn, PsiFn, RegVaryFn
 from .sparseset import SetSpec, build_frac_set, build_set, frac_scan
 from .sweeps import SweepResult, per_row, sweep, write_csv, write_jsonl, xi_grid
-from .trigpoly import (
-    GRID_CAP_DEFAULT,
-    fourier_sup_of_difference,
-    measure_mu,
-    measure_nu,
-    restriction_ratio_max,
-)
+from .trigpoly import GRID_CAP_DEFAULT, restriction_sweep
 
 
 @dataclass
@@ -110,14 +104,14 @@ def _levels_list(spec: str, first: int) -> list:
 
 def _exp_count(cfg: ExperimentConfig):
     h1, h2 = _family(cfg.h1), _family(cfg.h2)
-    phi2 = InverseFn(h2)
 
     def task(N):
         built = build_set(SetSpec(cfg.kind, h1, h2, int(N),
                                   psi_mode=cfg.psi_mode))
         if cfg.set_out and N == max(cfg.N_list):
             built.save(cfg.set_out)
-        ref = phi2.invert(float(N))
+        # the built set's h2: a floor image is counted by phi of h1
+        ref = InverseFn(built.spec.h2).invert(float(N))
         return [SweepResult(
             experiment="count", quantity="cardinality_ratio",
             value=float(len(built)), reference=ref,
@@ -198,33 +192,13 @@ def _exp_prop2(cfg: ExperimentConfig):
     p = p_threshold(h1.c, h2.c) + cfg.p_offset
     if not math.isfinite(p):
         raise ValueError(f"p-offset {cfg.p_offset} gives p = {p}")
-
-    def task(N):
-        spec = SetSpec(cfg.kind, h1, h2, int(N), psi_mode=cfg.psi_mode)
-        bset = build_frac_set(spec)
-        ratio = restriction_ratio_max(bset, p, trials=cfg.trials,
-                                      seed=cfg.seed, tol=cfg.tol, cap=cfg.cap)
-        sup, grid = fourier_sup_of_difference(
-            measure_mu(bset), measure_nu(int(N)))
-        return [
-            SweepResult(
-                experiment="prop2", quantity="restriction_ratio_max",
-                value=ratio,
-                seed=cfg.seed, borderline_count=bset.borderline_count,
-                params={"N": int(N), "p": p, "trials": cfg.trials,
-                        "set_size": len(bset)},
-            ),
-            SweepResult(
-                experiment="prop2", quantity="mu_nu_fourier_sup",
-                value=sup, reference=None, ratio=None, seed=cfg.seed,
-                params={"N": int(N), "p": p, "grid": grid},
-            ),
-        ]
-
     # below the scan's first index the set is empty
     levels = _levels_list(cfg.levels, frac_scan(h1, h2, cfg.psi_mode)[2])
-    return sweep(levels, task, per_row(lambda r: r.value),
-                 key=lambda r: r.quantity, workers=cfg.workers)
+    return restriction_sweep(
+        lambda N: build_frac_set(SetSpec(cfg.kind, h1, h2, N,
+                                         psi_mode=cfg.psi_mode)),
+        p, levels, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol, cap=cfg.cap,
+        workers=cfg.workers)
 
 
 def _exp_majorant(cfg: ExperimentConfig):

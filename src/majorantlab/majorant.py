@@ -105,7 +105,8 @@ class MajorantEstimate:
 
     `method` names the candidate that won: `all_ones`, `signs_exhaustive`
     or `phase_gradient` from estimate_constant, `brute_force` from
-    brute_force_constant.  `trials` counts the candidates scored."""
+    brute_force_constant.  `trials` counts the candidates scored, and
+    `norm_tol` is the tolerance the quadratures ran at."""
 
     value: float
     argmax_coeffs: np.ndarray
@@ -342,7 +343,7 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
             value, best_method, best_coeffs = ratio, meth, coeffs
     return MajorantEstimate(value=value, argmax_coeffs=best_coeffs, support=A,
                             method=best_method, trials=trials,
-                            norm_tol=tol, budget_exhausted=exhausted)
+                            norm_tol=qtol, budget_exhausted=exhausted)
 
 
 # ------------------------------------------------------------- brute force
@@ -373,7 +374,7 @@ def brute_force_constant(A, p: float, alphabet: str = "signs",
     base = lp_norm(TrigPoly(A, np.ones(len(A))), p, tol=qtol).value
     top = lp_norm(TrigPoly(A, best), p, tol=qtol).value
     return MajorantEstimate(value=top / base, argmax_coeffs=best, support=A,
-                            method="brute_force", trials=count, norm_tol=tol)
+                            method="brute_force", trials=count, norm_tol=qtol)
 
 
 # ---------------------------------------------------------------- envelope

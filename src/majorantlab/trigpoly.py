@@ -18,7 +18,8 @@ through iterated coefficient convolution is kept as an independent oracle.
 The measures mu_N (atoms on a sparse set, masses 1/(N psi(n))) and nu_N
 (uniform on [1, N]) drive the extension operator f -> F(f mu) and its
 T T* composition, which multiplies Fourier coefficients by the measure's
-masses.
+masses.  `restriction_sweep`, run by prop2 and criterion 9 alike, builds
+mu_N once per N and measures the restriction estimate's two rows on it.
 
 The restriction row is the largest ratio ||F(f mu_N)||_p N^(1/p) /
 ||f||_{L2(mu_N)} over seeded test functions f, all-ones first.  A random
@@ -55,7 +56,7 @@ from .errors import CapacityError, ConvergenceError
 from .expsum import weighted_sums
 from .rvfunc import CHUNK
 from .sparseset import SparseSet
-from .sweeps import derive_seed
+from .sweeps import SweepResult, derive_seed, per_row, sweep
 
 DEGREE_CAP = 1 << 23
 GRID_CAP_DEFAULT = 1 << 26
@@ -388,22 +389,20 @@ def _first_grid_max(support: np.ndarray, coeff_rows, cosets: int = 8,
                 np.square(mags, out=mags)
                 sums[i] += np.sum(np.power(mags, float(k), out=mags))
             # freed before the next row's product row * turn is built, so
-            # the two never coexist: for the dense support of
+            # the two never coexist: for the dense support 0..N of
             # fourier_sup_of_difference each takes 8 M bytes
             del mags
     return top, K
 
 
-def fourier_sup_of_difference(m1: DiscreteMeasure,
-                              m2: DiscreteMeasure) -> tuple[float, int]:
-    """max of |F(m1 - m2)| on lp_norm's first grid, and that grid's size
-    (`_first_grid_max`)."""
-    top = int(max(m1.atoms[-1] if len(m1.atoms) else 0,
-                  m2.atoms[-1] if len(m2.atoms) else 0))
-    coeff = np.zeros(top + 1, dtype=np.complex128)
-    np.add.at(coeff, m1.atoms, m1.masses)
-    np.add.at(coeff, m2.atoms, -m2.masses)
-    sup, K = _first_grid_max(np.arange(top + 1), [coeff])
+def fourier_sup_of_difference(mu: DiscreteMeasure, N: int) -> tuple[float, int]:
+    """max of |F(mu - nu_N)| on lp_norm's first grid, and that grid's size
+    (`_first_grid_max`).  nu_N is taken as given: the coefficients start
+    at -1/N on 1..N, then mu's masses (atoms in [0, N]) are added."""
+    coeff = np.zeros(N + 1, dtype=np.complex128)
+    coeff[1:] = -1.0 / N
+    np.add.at(coeff, mu.atoms, mu.masses)
+    sup, K = _first_grid_max(np.arange(N + 1), [coeff])
     return float(sup[0]), K
 
 
@@ -466,12 +465,12 @@ def l2_norm_weighted(f_vals, m: DiscreteMeasure) -> float:
     return float(np.sqrt(np.sum(np.abs(f_vals) ** 2 * m.masses)))
 
 
-def restriction_ratio_max(bset: SparseSet, p: float, trials: int = 16,
-                          seed: int = 0, tol: float = 1e-8,
+def restriction_ratio_max(mu: DiscreteMeasure, N: int, p: float,
+                          trials: int = 16, seed: int = 0, tol: float = 1e-8,
                           cap: int = GRID_CAP_DEFAULT) -> float:
-    """The largest ||F(f mu_N)||_p * N^(1/p) / ||f||_{L2(mu_N)} over
-    `trials` seeded test functions on the set: the all-ones choice first,
-    then standard complex normal coefficients with seeds
+    """The largest ||F(f mu)||_p * N^(1/p) / ||f||_{L2(mu)} over `trials`
+    seeded test functions on the atoms of mu = mu_N: the all-ones choice
+    first, then standard complex normal coefficients with seeds
     derive_seed(derive_seed(seed, N), t), t = 1..trials-1.
 
     For p >= 2 the random f are bounded first, all in one call of
@@ -479,15 +478,13 @@ def restriction_ratio_max(bset: SparseSet, p: float, trials: int = 16,
     2k the largest even integer <= p, joined by Hoelder (module
     docstring).  Going through the trials in order, an f whose bounded
     ratio times 1 + 10 tol stays below the best ratio so far is skipped
-    without its quadrature.  It cannot be the
-    maximum, so the value equals the maximum over a full loop of
-    `lp_norm` calls, bit for bit.  An empty set raises ValueError."""
+    without its quadrature.  It cannot be the maximum, so the value equals
+    the maximum over a full loop of `lp_norm` calls, bit for bit.  An
+    empty measure raises ValueError."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    N = bset.spec.N
-    if len(bset) == 0:
+    if len(mu.atoms) == 0:
         raise ValueError(f"the set is empty at N = {N}: no ratio is defined")
-    mu = measure_mu(bset)
 
     def ratio(f, den):
         P = extension_poly(f, mu)
@@ -511,3 +508,28 @@ def restriction_ratio_max(bset: SparseSet, p: float, trials: int = 16,
         if bound >= best:
             best = max(best, ratio(f, den))
     return best
+
+
+def restriction_sweep(build_set_fn, p: float, N_list, trials: int = 16,
+                      seed: int = 0, tol: float = 1e-8,
+                      cap: int = GRID_CAP_DEFAULT,
+                      workers: int = 1) -> list[SweepResult]:
+    """The prop2 rows restriction_ratio_max and mu_nu_fourier_sup of every
+    N of N_list, in its order.  build_set_fn(N) -> SparseSet; one
+    sweeps.sweep task per N builds the set and its mu_N once.  The rows
+    of one quantity share the log-log slope of their values against N."""
+    def task(N):
+        bset = build_set_fn(N)
+        mu = measure_mu(bset)
+        ratio = restriction_ratio_max(mu, N, p, trials, seed, tol, cap)
+        sup, grid = fourier_sup_of_difference(mu, N)
+        return [SweepResult(
+            experiment="prop2", quantity="restriction_ratio_max", value=ratio,
+            seed=seed, borderline_count=bset.borderline_count,
+            params={"N": N, "p": p, "trials": trials, "set_size": len(bset)},
+        ), SweepResult(
+            experiment="prop2", quantity="mu_nu_fourier_sup", value=sup,
+            seed=seed, params={"N": N, "p": p, "grid": grid})]
+
+    return sweep([int(N) for N in N_list], task, per_row(lambda r: r.value),
+                 key=lambda r: r.quantity, workers=workers)

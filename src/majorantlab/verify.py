@@ -7,9 +7,11 @@ full:  adds the decay sweeps at reduced sizes; the report then carries
 Acceptance criteria 1-10 have their one definition here, each taking
 its sizes and seeds as arguments: tests/test_acceptance.py calls them
 at the acceptance sizes, the suite at the reduced defaults, with the
-same thresholds.  Each check returns (passed, measured) where measured
-is a short printable summary of what was observed; the CLI turns
-failures into exit code 4.
+same thresholds.  Criterion 8 reads its rows from
+majorant.uniformity_sweep, the sweep of the majorant subcommand, and
+criterion 9 from trigpoly.restriction_sweep, the sweep of prop2.  Each
+check returns (passed, measured) where measured is a short printable
+summary of what was observed; the CLI turns failures into exit code 4.
 """
 
 from __future__ import annotations
@@ -50,11 +52,9 @@ from .trigpoly import (
     TrigPoly,
     even_p_oracle,
     fourier_of_measure,
-    fourier_sup_of_difference,
     lp_norm,
-    measure_mu,
     measure_nu,
-    restriction_ratio_max,
+    restriction_sweep,
     ttstar_apply,
 )
 
@@ -347,14 +347,10 @@ def check_prop2(Ns=(2**10, 2**12, 2**14), trials=6, seed=4):
     # dyadic sweep sits in the asymptotic regime from the start
     h2 = RegVaryFn(1.1, SlowlyVaryingSpec("log_power", B=1.0))
     p = p_threshold(h1.c, h2.c) + 0.5
-    maxima = []
-    sups = []
-    for N in Ns:
-        b = build_frac_set(SetSpec("frac_plus", h1, h2, N))
-        maxima.append(restriction_ratio_max(b, p, trials=trials, seed=seed))
-        sups.append(fourier_sup_of_difference(measure_mu(b), measure_nu(N))[0])
-    slope = fit_loglog_slope(Ns, maxima)
-    sup_slope = fit_loglog_slope(Ns, sups)
+    rows = restriction_sweep(
+        lambda N: build_frac_set(SetSpec("frac_plus", h1, h2, N)), p, Ns,
+        trials=trials, seed=seed)
+    slope, sup_slope = rows[0].exponent, rows[1].exponent
     return slope <= 0.02 and sup_slope < 0, (
         f"p = {p:.2f}, ratio slope = {slope:.4f}, "
         f"mu-nu sup exponent = {sup_slope:.3f}")

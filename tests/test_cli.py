@@ -135,6 +135,64 @@ def test_prop2_subcommand(tmp_path):
     assert kinds == {"restriction_ratio_max", "mu_nu_fourier_sup"}
 
 
+def test_count_floor_image_reference_follows_the_built_set(tmp_path):
+    # a floor image is built from h1 alone, so --c2 changes neither the
+    # set nor the reference phi(N) it is counted against
+    ratios = []
+    for extra in ([], ["--c2", "1.1"]):
+        out = tmp_path / str(len(extra))
+        assert main(["count", "--kind", "floor_image", "--N-list", "1e4,1e5",
+                     "--out", str(out)] + extra) == 0
+        ratios.append([r["ratio"] for r in read_rows(out / "count.csv")])
+    assert ratios[0] == ratios[1]
+    assert all(abs(float(r) - 1) < 0.01 for r in ratios[1])
+
+
+def test_prop2_builds_one_mu_per_level(tmp_path, monkeypatch):
+    # counted wherever measure_mu is bound, so a second import of it in
+    # the driver would be counted too
+    from majorantlab import cli, trigpoly
+    calls = []
+    measure_mu = trigpoly.measure_mu
+
+    def counting(bset):
+        calls.append(bset.spec.N)
+        return measure_mu(bset)
+
+    for module in (trigpoly, cli):
+        monkeypatch.setattr(module, "measure_mu", counting, raising=False)
+    assert main(["prop2", "--levels", "9:11", "--trials", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == [2**9, 2**10, 2**11]
+
+
+def test_prop2_exponents_equal_criterion_9(tmp_path, monkeypatch):
+    # the subcommand and criterion 9 run one sweep: at criterion 9's
+    # family, sizes and seed the CLI writes the criterion's rows
+    from majorantlab import verify
+    assert main(["prop2", "--c2", "1.1", "--p-offset", "0.5", "--levels",
+                 "10:12", "--trials", "6", "--seed", "4",
+                 "--out", str(tmp_path)]) == 0
+    cli_rows = read_rows(tmp_path / "prop2.csv")
+    seen = []
+    sweep_fn = verify.restriction_sweep
+
+    def recording(*args, **kwargs):
+        seen.extend(sweep_fn(*args, **kwargs))
+        return seen
+
+    monkeypatch.setattr(verify, "restriction_sweep", recording)
+    passed, measured = verify.check_prop2((2**10, 2**11, 2**12), 6, 4)
+    assert passed
+    assert [(r.quantity, r.params["N"], r.value, r.exponent) for r in seen] == [
+        (r["quantity"], int(r["N"]), float(r["value"]), float(r["exponent"]))
+        for r in cli_rows]
+    slopes = {r.quantity: r.exponent for r in seen}
+    assert measured.endswith(
+        f"ratio slope = {slopes['restriction_ratio_max']:.4f}, "
+        f"mu-nu sup exponent = {slopes['mu_nu_fourier_sup']:.3f}")
+
+
 def test_verify_quick_passes(tmp_path, capsys):
     code = main(["verify", "--out", str(tmp_path)])
     assert code == 0

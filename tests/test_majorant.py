@@ -114,6 +114,15 @@ def test_c3_exceeds_one_and_matches_brute_force():
     assert est.support.tolist() == bf.support.tolist() == [0, 1, 3]
 
 
+def test_norm_tol_is_the_tolerance_the_quadratures_ran_at():
+    # tol = 0 runs at lp_norm's floor 1e-12, and the estimate says so
+    prob = MajorantProblem(np.array([0, 1, 3]), 3, 3.0, seed=1)
+    for est in (estimate_constant(prob, tol=0.0),
+                brute_force_constant([0, 1, 3], 3.0, "signs", tol=0.0)):
+        assert est.norm_tol == 1e-12
+        assert est.value == 1.005987411441017
+
+
 def test_all_ones_is_labelled_when_nothing_beats_it():
     # 60 members: too many to enumerate signs, and at p = 3 no phase
     # restart beats the all-ones polynomial

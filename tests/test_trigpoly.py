@@ -7,7 +7,7 @@ from majorantlab import ConvergenceError, RegVaryFn, SlowlyVaryingSpec
 from majorantlab.majorant import p_threshold
 from majorantlab.expsum import dirichlet_sum
 from majorantlab.sparseset import SetSpec, build_frac_set
-from majorantlab.sweeps import derive_seed
+from majorantlab.sweeps import derive_seed, fit_loglog_slope
 from majorantlab import trigpoly
 from majorantlab.trigpoly import (
     GRID_CAP_DEFAULT,
@@ -30,6 +30,7 @@ from majorantlab.trigpoly import (
     measure_mu,
     measure_nu,
     restriction_ratio_max,
+    restriction_sweep,
     ttstar_apply,
 )
 
@@ -373,7 +374,7 @@ def test_mu_minus_nu_sup_decays():
     Ns = [2**12, 2**14, 2**16]
     for N in Ns:
         b = build_frac_set(SetSpec("frac_plus", h, h, N))
-        sup, _ = fourier_sup_of_difference(measure_mu(b), measure_nu(N))
+        sup, _ = fourier_sup_of_difference(measure_mu(b), N)
         sups.append(sup)
     assert sups[-1] < sups[0]
 
@@ -383,13 +384,24 @@ def test_mu_minus_nu_sup_matches_one_full_grid():
     # finds the same maximum
     N = 2**12
     mu, nu = measure_mu(bset_xlogx(N)), measure_nu(N)
-    sup, K = fourier_sup_of_difference(mu, nu)
+    sup, K = fourier_sup_of_difference(mu, N)
     assert K == _start_grid(N)
     dense = np.zeros(K, dtype=np.complex128)
     np.add.at(dense, mu.atoms, mu.masses)
     np.add.at(dense, nu.atoms, -nu.masses)
     assert sup == pytest.approx(np.max(np.abs(np.fft.ifft(dense) * K)),
                                 rel=1e-13)
+
+
+def test_mu_minus_nu_sup_equals_the_two_measure_sum_bit_for_bit():
+    # nu_N taken as given: -1/N + m is the same float as m + (-1/N)
+    for N in (2**9, 2**12):
+        mu, nu = measure_mu(bset_xlogx(N)), measure_nu(N)
+        coeff = np.zeros(N + 1, dtype=np.complex128)
+        np.add.at(coeff, mu.atoms, mu.masses)
+        np.add.at(coeff, nu.atoms, -nu.masses)
+        top, K = _first_grid_max(np.arange(N + 1), [coeff])
+        assert fourier_sup_of_difference(mu, N) == (float(top[0]), K)
 
 
 # ------------------------------------------------------------- operators
@@ -430,10 +442,10 @@ def test_apply_extension_values():
 
 
 def test_restriction_ratio_max_bounded_small():
-    b = bset_xlogx(2**10)
-    ratio = restriction_ratio_max(b, p=3.0, trials=4, seed=11)
+    mu = measure_mu(bset_xlogx(2**10))
+    ratio = restriction_ratio_max(mu, 2**10, p=3.0, trials=4, seed=11)
     assert np.isfinite(ratio) and ratio > 0
-    assert restriction_ratio_max(b, p=3.0, trials=4, seed=11) == ratio
+    assert restriction_ratio_max(mu, 2**10, p=3.0, trials=4, seed=11) == ratio
 
 
 def test_restriction_ratio_max_rejects_an_empty_set():
@@ -441,7 +453,7 @@ def test_restriction_ratio_max_rejects_an_empty_set():
     b = bset_prop2(1)
     assert len(b) == 0
     with pytest.raises(ValueError, match="empty"):
-        restriction_ratio_max(b, p=4.2, trials=2)
+        restriction_ratio_max(measure_mu(b), 1, p=4.2, trials=2)
 
 
 def bset_prop2(N):
@@ -544,10 +556,32 @@ def test_restriction_ratio_max_equals_full_loop(p, level):
     winners = []
     for seed in (7, 0, 3):
         full = restriction_ratios_full(b, p, trials=16, seed=seed)
-        assert restriction_ratio_max(b, p, trials=16, seed=seed) == max(full)
+        got = restriction_ratio_max(measure_mu(b), 2**level, p, trials=16,
+                                    seed=seed)
+        assert got == max(full)
         winners.append(int(np.argmax(full)))
     if p == 2.0:
         assert any(w > 0 for w in winners)
+
+
+def test_restriction_sweep_rows_are_the_direct_calls():
+    # per N: the ratio row, then the sup row, both on one mu_N; one
+    # exponent per quantity, and the same rows on two workers
+    p = p_threshold(1.0, 1.1) + 0.5
+    Ns = [2**10, 2**11, 2**12]
+    rows = restriction_sweep(bset_prop2, p, Ns, trials=4, seed=2)
+    assert [r.quantity for r in rows] == [
+        "restriction_ratio_max", "mu_nu_fourier_sup"] * 3
+    for N, ratio, sup in zip(Ns, rows[0::2], rows[1::2]):
+        mu = measure_mu(bset_prop2(N))
+        assert ratio.value == restriction_ratio_max(mu, N, p, trials=4, seed=2)
+        assert (sup.value, sup.params["grid"]) == fourier_sup_of_difference(mu, N)
+    for same in (rows[0::2], rows[1::2]):
+        slope = fit_loglog_slope(Ns, [r.value for r in same])
+        assert all(r.exponent == slope for r in same)
+    two = restriction_sweep(bset_prop2, p, Ns, trials=4, seed=2, workers=2)
+    assert ([(r.value, r.exponent, r.params) for r in two]
+            == [(r.value, r.exponent, r.params) for r in rows])
 
 
 def test_restriction_ratio_max_runs_one_quadrature(monkeypatch):
@@ -564,12 +598,11 @@ def test_restriction_ratio_max_runs_one_quadrature(monkeypatch):
 
     monkeypatch.setattr(trigpoly, "lp_norm", counting_lp_norm)
     for level in (10, 11, 13):
-        b = bset_prop2(2**level)
+        mu = measure_mu(bset_prop2(2**level))
         calls.clear()
-        ratio = restriction_ratio_max(b, p, trials=16, seed=7)
+        ratio = restriction_ratio_max(mu, 2**level, p, trials=16, seed=7)
         assert len(calls) == 1, level
-        ones = np.ones(len(b), dtype=np.complex128)
-        mu = measure_mu(b)
+        ones = np.ones(len(mu.atoms), dtype=np.complex128)
         assert ratio == (lp(extension_poly(ones, mu), p).value
                          * (2**level) ** (1 / p) / l2_norm_weighted(ones, mu))
 
