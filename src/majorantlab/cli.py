@@ -117,8 +117,9 @@ def _exp_count(cfg: ExperimentConfig):
             value=float(len(built)), reference=ref,
             ratio=len(built) / ref, seed=cfg.seed,
             borderline_count=built.borderline_count,
-            params={"N": int(N), "kind": cfg.kind, "h1": h1.to_kv(),
-                    "h2": h2.to_kv(), "psi_mode": cfg.psi_mode},
+            params={"N": int(N), "kind": cfg.kind,
+                    "h1": built.spec.h1.to_kv(), "h2": built.spec.h2.to_kv(),
+                    "psi_mode": cfg.psi_mode},
         )]
 
     return sweep(cfg.N_list, task, per_row(lambda r: abs(r.ratio - 1.0)),
@@ -214,7 +215,7 @@ def _exp_majorant(cfg: ExperimentConfig):
 
     rows, estimates = uniformity_sweep(
         build, cfg.p, cfg.N_list, budget=cfg.budget, seed=cfg.seed,
-        tol=max(cfg.tol, 1e-9), cap=cfg.cap, workers=cfg.workers)
+        tol=cfg.tol, cap=cfg.cap, workers=cfg.workers)
     if cfg.coeffs_out:
         best = estimates[int(np.argmax(cfg.N_list))]
         with open(cfg.coeffs_out, "w") as fh:

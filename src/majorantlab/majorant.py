@@ -38,7 +38,7 @@ import numpy as np
 from .errors import AdmissibilityError, CapacityError
 from .sparseset import SparseSet
 from .sweeps import SweepResult, derive_seed, per_row, sweep
-from .trigpoly import (GRID_CAP_DEFAULT, TrigPoly, _grid_dft,
+from .trigpoly import (GRID_CAP_DEFAULT, TrigPoly, _grid_dft, _grid_length,
                        lower_bound_lowfreq, lp_norm)
 
 DEFAULT_RESTARTS = 16          # phase ascents per estimate
@@ -150,15 +150,11 @@ class _GridObjective:
     def __init__(self, support: np.ndarray, p: float, K: int | None = None):
         self.support = np.asarray(support, dtype=np.int64)
         self.p = float(p)
-        D = int(self.support[-1])
         if K is None:
             # 2x oversampling is plenty for a ranking surrogate; winners
             # are re-measured with the adaptive quadrature afterwards
-            K = 256
-            while K < 2 * (D + 1):
-                K *= 2
+            K = max(256, 2 * _grid_length(int(self.support[-1])))
         self.K = K
-        self.evals = 0
         self.values, self._at_support = _grid_dft(self.support, K)
         self._s = np.empty(K)
         self._w = np.empty(K)
@@ -167,7 +163,6 @@ class _GridObjective:
     def measure(self, coeffs):
         """(grid values, |P|^(p-2) on the grid, F) of a coefficient
         vector; both arrays are views that the next call overwrites."""
-        self.evals += 1
         vals = self.values(coeffs)
         s, w = self._s, self._w
         np.multiply(vals.real, vals.real, out=s)

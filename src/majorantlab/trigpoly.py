@@ -1,16 +1,19 @@
 """Trigonometric polynomials on the torus and the discrete restriction pair.
 
 L^p norms are computed by uniform sampling (the periodic rectangle rule).
-The grid of K points starts at the smallest power of two >= 8 (D+1) and
-doubles until the value stabilizes.  It is sampled as K/M cosets of the
-grid of M points, M the smallest power of two above the degree D: the
-coset at offset r/K is one length-M inverse DFT of the coefficients
-turned by e(n r/K).  Doubling the grid samples only its new odd cosets and
-adds them to the running sum of |P|^p, so every point is computed once.
-A length-M DFT is one FFT of length M below SPLIT_AT points; from SPLIT_AT
-on it is split into FFTs of lengths M1 and M2 = M/M1 on an (M1, M2) array,
-M1 about sqrt(M), which keep to the cache where one FFT of length M does
-not (`_grid_dft`; the phase ascent of `majorant` uses the same transform).
+Every sampled quantity (lp_norm, the test-function bounds and the sup of
+mu_N - nu_N) takes one transform length, M = `_grid_length(D)`, the
+smallest power of two above the degree D, and reads a grid of K points,
+a multiple of M, as K/M cosets of the grid of M points: the coset at
+offset r/K is one length-M inverse DFT of the coefficients turned by
+e(n r/K), and `_coset_walker` is the one loop that builds those turns.
+lp_norm's grid starts at K = 8 M and doubles until the value stabilizes;
+a doubling walks only its new odd cosets and adds them to the running sum
+of |P|^p, so every point is computed once.  A length-M DFT is one FFT of
+length M below SPLIT_AT points; from SPLIT_AT on it is split into FFTs of
+lengths M1 and M2 = M/M1 on an (M1, M2) array, M1 about sqrt(M), which
+keep to the cache where one FFT of length M does not (`_grid_dft`; the
+phase ascent of `majorant` uses the same transform on K = max(256, 2 M)).
 For even p the rule is exact as soon as the grid exceeds p*D points, since
 |P|^p is itself a trigonometric polynomial of degree p*D; the even-p route
 through iterated coefficient convolution is kept as an independent oracle.
@@ -29,19 +32,17 @@ a grid of K > pi D / 2 points bounds the sup norm: Bernstein's
 inequality for e(-D x/2) P, of exponential type pi D, gives
 ||P||_inf <= S / (1 - pi D / (2 K)).  For p >= 2, with 2k the largest
 even integer <= p (at most 16), Hoelder between L^2k and L^inf gives
-||P||_p^p <= ||P||_inf^(p-2k) ||P||_2k^2k.  For k = 1 (2 <= p < 4),
-||P||_2 is the l2 norm of the coefficients (Parseval), and S comes from
-lp_norm's first grid, K = 8 M with M = _start_grid(D) / 8, so the
-factor is at most 1/(1 - pi/16).  For k >= 2 the grid has K = c M
-points, c >= 2 the smallest power of two with c M > k D: the mean of
-|P|^2k over it is ||P||_2k^2k exactly, as |P|^2k has degree k D, and S
-is taken on the same points.  At p = 4.2 that is 2 of the 8 cosets of
-the first grid, and Bernstein's factor, up to 1/(1 - pi/4), enters only
-to the power 1 - 4/p.  For p < 2 no such bound follows, and every f
-gets its quadrature.  A bound below the best ratio by a factor
-1 + 10 tol, the quadrature tolerance, skips the f: the margin covers FFT
-rounding and lp_norm's own stopping error, so the row is the maximum of
-the full loop, bit for bit.
+||P||_p^p <= ||P||_inf^(p-2k) ||P||_2k^2k.  One walk of K = c M points
+gives both S and the mean of |P|^2k, which is ||P||_2k^2k exactly once
+c M > k D, as |P|^2k has degree k D.  For k = 1 (2 <= p < 4) the walk is
+lp_norm's first grid, c = 8, so the factor is at most 1/(1 - pi/16); for
+k >= 2, c >= 2 is the smallest power of two with c M > k D.  At p = 4.2
+that is 2 of the 8 cosets of the first grid, and Bernstein's factor, up
+to 1/(1 - pi/4), enters only to the power 1 - 4/p.  For p < 2 no such
+bound follows, and every f gets its quadrature.  A bound below the best
+ratio by a factor 1 + 10 tol, the quadrature tolerance, skips the f: the
+margin covers FFT rounding and lp_norm's own stopping error, so the row
+is the maximum of the full loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -128,11 +129,10 @@ class QuadratureResult:
     refinement_error: float
 
 
-def _start_grid(degree: int) -> int:
-    K = 8
-    while K < 8 * (degree + 1):
-        K *= 2
-    return K
+def _grid_length(degree: int) -> int:
+    """M, the smallest power of two above the degree: the length of every
+    transform that samples a polynomial of that degree (`_coset_walker`)."""
+    return 1 << int(degree).bit_length()
 
 
 def _grid_dft(support: np.ndarray, M: int):
@@ -187,40 +187,45 @@ def _grid_dft(support: np.ndarray, M: int):
     return values, at_support
 
 
-def _coset_sampler(support: np.ndarray, coeffs: np.ndarray, M: int):
-    """coset(K, r): sum of coeffs * e(n xi) over the support at
+def _coset_walker(support: np.ndarray, M: int):
+    """walk(coeff_rows, K, cosets): for each r of `cosets` in turn, and for
+    each row of `coeff_rows`, the sum of row * e(n xi) over the support at
     xi = j/M + r/K, j < M, in grid order: the length-M transform
-    (`_grid_dft`) of the coefficients turned by e(n r/K).  Every n must
-    lie below M, and M must divide K.  One buffer serves every call, so
-    each call overwrites the values the last one returned."""
+    (`_grid_dft`) of the row turned by e(n r/K).  Every n must lie below
+    M, and M must divide K.  The turn is built once per coset, and one
+    buffer serves every walk, so each yielded array is overwritten by the
+    next."""
     values, _ = _grid_dft(support, M)
 
-    def coset(K: int, r: int) -> np.ndarray:
-        turn = ((support * r) % K) / K
-        return values(coeffs * np.exp(2j * np.pi * turn))
+    def walk(coeff_rows, K: int, cosets):
+        for r in cosets:
+            turn = np.exp(2j * np.pi * (((support * r) % K) / K))
+            for row in coeff_rows:
+                yield values(row * turn)
 
-    return coset
+    return walk
 
 
 def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
             cap: int = GRID_CAP_DEFAULT) -> QuadratureResult:
     """(integral of |P|^p over the torus)^(1/p) by doubling rectangle rule.
 
-    The K-point grid is sampled as K/M cosets, one length-M inverse DFT
-    each (one FFT below SPLIT_AT, two passes of shorter FFTs from it on),
-    M = _start_grid(degree) / 8; a doubling samples only its K/M new
-    odd cosets and adds their |P|^p to the running sum, so every grid
-    point is computed once.  The rule stops on the relative change between
-    successive grids, or at once for even p when K exceeds p * degree."""
+    The K-point grid, K = 8 M at first with M = _grid_length(degree), is
+    walked as K/M cosets (`_coset_walker`), one length-M inverse DFT each
+    (one FFT below SPLIT_AT, two passes of shorter FFTs from it on); a
+    doubling walks only its K/M new odd cosets and adds their |P|^p to the
+    running sum, so every grid point is computed once.  The rule stops on
+    the relative change between successive grids, or at once for even p
+    when K exceeds p * degree."""
     if not (math.isfinite(p) and p >= 1):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     if not 1e-12 <= tol <= 1e-2:
         raise ValueError("tol must lie in [1e-12, 1e-2]")
     if len(P.support) == 0:
         return QuadratureResult(0.0, 0, 0.0)
-    K = _start_grid(P.degree)
-    M = K // 8
-    coset = _coset_sampler(P.support, P.coeffs, M)
+    M = _grid_length(P.degree)
+    K = 8 * M
+    walk = _coset_walker(P.support, M)
     mags = np.empty(M)
     # |P|^p at j/M + r/K summed over the cosets r sampled so far, per j
     power = np.zeros(M)
@@ -228,8 +233,8 @@ def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
     new_cosets = range(8)
     prev = None
     while True:
-        for r in new_cosets:
-            np.abs(coset(K, r), out=mags)
+        for vals in walk([P.coeffs], K, new_cosets):
+            np.abs(vals, out=mags)
             power += np.power(mags, p, out=mags)
         value = float((np.sum(power) / K) ** (1.0 / p))
         if even and K > p * P.degree:
@@ -365,34 +370,31 @@ def fourier_of_measure(m: DiscreteMeasure, xis) -> np.ndarray:
 
 
 def _first_grid_max(support: np.ndarray, coeff_rows, cosets: int = 8,
-                    k: int = 0, sums: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, int]:
-    """max of |P| for P = sum of row * e(n xi) over the support, one per
-    row of `coeff_rows`, on the grid xi = j/K of K = cosets * M points,
-    M = _start_grid(support[-1]) / 8, and K.  At the default 8 cosets
-    this is lp_norm's first grid.  With k >= 1, sums[i] also receives the
-    sum of |P|^(2k) over the grid for row i.  The grid is taken as its
-    cosets of one `_grid_dft` of length M; the loop over cosets is the
-    outer one, so each turn e(n r/K) is built once and applied to every
-    row, and only one turn vector is alive at a time."""
-    M = _start_grid(int(support[-1])) // 8
+                    k: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """(top, sums, K) for P = sum of row * e(n xi) over the support, one
+    per row of `coeff_rows`, on the grid xi = j/K of K = cosets * M points,
+    M = _grid_length(support[-1]): top[i] is the max of |P| for row i and,
+    with k >= 1, sums[i] the sum of |P|^(2k) over the grid (0 for k = 0).
+    At the default 8 cosets the grid is lp_norm's first one.  It is walked
+    by `_coset_walker`, coset by coset, so each turn e(n r/K) is built once
+    and applied to every row."""
+    M = _grid_length(int(support[-1]))
     K = cosets * M
-    values, _ = _grid_dft(support, M)
-    top = np.zeros(len(coeff_rows))
-    for r in range(cosets):
-        turn = np.exp(2j * np.pi * (((support * r) % K) / K))
-        for i, row in enumerate(coeff_rows):
-            mags = np.abs(values(row * turn))
-            top[i] = max(top[i], float(np.max(mags)))
-            if k:
-                # |P|^(2k) as (|P|^2)^k; a float exponent keeps k = 2 a square
-                np.square(mags, out=mags)
-                sums[i] += np.sum(np.power(mags, float(k), out=mags))
-            # freed before the next row's product row * turn is built, so
-            # the two never coexist: for the dense support 0..N of
-            # fourier_sup_of_difference each takes 8 M bytes
-            del mags
-    return top, K
+    top, sums = np.zeros(len(coeff_rows)), np.zeros(len(coeff_rows))
+    walk = _coset_walker(support, M)
+    for t, vals in enumerate(walk(coeff_rows, K, range(cosets))):
+        i = t % len(coeff_rows)
+        mags = np.abs(vals)
+        top[i] = max(top[i], float(np.max(mags)))
+        if k:
+            # |P|^(2k) as (|P|^2)^k; a float exponent keeps k = 2 a square
+            np.square(mags, out=mags)
+            sums[i] += np.sum(np.power(mags, float(k), out=mags))
+        # freed before the walk builds the next row's product row * turn,
+        # so the two never coexist: for the dense support 0..N of
+        # fourier_sup_of_difference each takes 8 M bytes
+        del mags
+    return top, sums, K
 
 
 def fourier_sup_of_difference(mu: DiscreteMeasure, N: int) -> tuple[float, int]:
@@ -402,7 +404,7 @@ def fourier_sup_of_difference(mu: DiscreteMeasure, N: int) -> tuple[float, int]:
     coeff = np.zeros(N + 1, dtype=np.complex128)
     coeff[1:] = -1.0 / N
     np.add.at(coeff, mu.atoms, mu.masses)
-    sup, K = _first_grid_max(np.arange(N + 1), [coeff])
+    sup, _, K = _first_grid_max(np.arange(N + 1), [coeff])
     return float(sup[0]), K
 
 
@@ -411,26 +413,19 @@ def _lp_norm_bounds(support: np.ndarray, coeff_rows: np.ndarray,
     """Upper bounds on ||P||_p, p >= 2, for P = sum of row * e(n .) over
     the support, one per row of the 2-d `coeff_rows`:
     (S / (1 - pi D / (2 K)))^(1 - 2k/p) * ||P||_2k^(2k/p), with D =
-    support[-1] and 2k, S and K as in the module docstring.  For k >= 2
-    one `_first_grid_max` pass gives S and ||P||_2k^2k, the mean of
-    |P|^2k over its K = c M points.  Tight at p = 2, 4, 6 and 8, up to
-    rounding; at p = inf (taken as k = 1) it is the sup bound itself."""
+    support[-1] and 2k, S and K as in the module docstring.  One
+    `_first_grid_max` pass gives S and ||P||_2k^2k, the mean of |P|^2k
+    over its K = c M points.  Tight at p = 2, 4, 6 and 8, up to rounding;
+    at p = inf (taken as k = 1) it is the sup bound itself."""
     D = int(support[-1])
     k = 1 if math.isinf(p) else min(int(p) // 2, 8)
-    if k == 1:
-        S, K = _first_grid_max(support, coeff_rows)
-        l2 = np.sqrt(np.sum(np.abs(coeff_rows) ** 2, axis=1))
-        moment_part = l2 ** (2.0 / p)
-    else:
-        M = _start_grid(D) // 8
-        cosets = 2
-        while cosets * M <= k * D:
-            cosets *= 2
-        sums = np.zeros(len(coeff_rows))
-        S, K = _first_grid_max(support, coeff_rows, cosets, k, sums)
-        moment_part = (sums / K) ** (1.0 / p)
+    M = _grid_length(D)
+    cosets = 8 if k == 1 else 2
+    while cosets * M <= k * D:
+        cosets *= 2
+    S, sums, K = _first_grid_max(support, coeff_rows, cosets, k)
     sup = S / (1.0 - math.pi * D / (2 * K))
-    return sup ** (1.0 - 2 * k / p) * moment_part
+    return sup ** (1.0 - 2 * k / p) * (sums / K) ** (1.0 / p)
 
 
 # --------------------------------------------------- restriction operators

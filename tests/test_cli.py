@@ -148,6 +148,30 @@ def test_count_floor_image_reference_follows_the_built_set(tmp_path):
     assert all(abs(float(r) - 1) < 0.01 for r in ratios[1])
 
 
+def test_count_rows_echo_the_built_sets_functions(tmp_path):
+    # a floor image is built from h1 alone, so its rows name h1 twice
+    assert main(["count", "--kind", "floor_image", "--N-list", "1e4",
+                 "--c2", "1.1", "--out", str(tmp_path)]) == 0
+    row, = read_rows(tmp_path / "count.csv")
+    assert row["h2"] == row["h1"] == "family=log_power, B=1, c=1, x0=2"
+
+
+def test_majorant_tol_reaches_the_estimates(tmp_path, monkeypatch):
+    import majorantlab.majorant as majorant_mod
+
+    tols = []
+    real = majorant_mod.estimate_constant
+
+    def recording(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(majorant_mod, "estimate_constant", recording)
+    assert main(["majorant", "--tol", "1e-10", "--N-list", "256",
+                 "--budget", "40", "--out", str(tmp_path)]) == 0
+    assert tols == [1e-10]
+
+
 def test_prop2_builds_one_mu_per_level(tmp_path, monkeypatch):
     # counted wherever measure_mu is bound, so a second import of it in
     # the driver would be counted too

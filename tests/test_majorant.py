@@ -295,6 +295,16 @@ def test_gradient_matches_finite_differences(p, K):
         assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
 
+def test_default_grid_is_twice_the_transform_length():
+    # the smallest power of two >= max(256, 2 (D + 1)), as a doubling
+    # from 256 finds it
+    for top in (1, 127, 128, 129, 1500, 4095, 4096, 9000):
+        K = 256
+        while K < 2 * (top + 1):
+            K *= 2
+        assert _GridObjective(np.array([0, top]), 2.5).K == K
+
+
 # the default grid of a support up to 1500 lies below SPLIT_AT; one up to
 # 9000 lies above it
 _TOPS = (1500, 9000)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from majorantlab.trigpoly import (
     DiscreteMeasure,
     QuadratureResult,
     TrigPoly,
-    _coset_sampler,
+    _coset_walker,
     _first_grid_max,
     _grid_dft,
+    _grid_length,
     _lp_norm_bounds,
-    _start_grid,
     even_p_oracle,
     extension_poly,
     fourier_of_measure,
@@ -113,7 +114,7 @@ def test_lp_norm_rejects_non_finite_p(p):
 def doubling_reference(P, p, tol, cap=GRID_CAP_DEFAULT):
     """The plain doubling rule: each grid sampled anew by one FFT of its
     full length, the mean of |P|^p taken over it."""
-    K = _start_grid(P.degree)
+    K = 8 * _grid_length(P.degree)
     even = p == int(p) and int(p) % 2 == 0
     prev = None
     while True:
@@ -171,7 +172,7 @@ def test_lp_norm_ffts_sample_each_point_once(monkeypatch, p, degree):
 
     monkeypatch.setattr(np.fft, "ifft", recording_ifft)
     got = lp_norm(P, p, tol=1e-10)
-    M = _start_grid(P.degree) // 8
+    M = _grid_length(P.degree)
     assert (M < SPLIT_AT) == (degree == 200)
     if M < SPLIT_AT:
         cosets = calls
@@ -209,7 +210,7 @@ def test_lp_norm_split_transform_matches_one_fft(monkeypatch, p):
     # a polynomial whose cosets have M >= SPLIT_AT points, once through
     # the split transform and once with SPLIT_AT moved above M
     P = random_poly(np.random.default_rng(87), size=60, degree=3 * SPLIT_AT // 4)
-    assert _start_grid(P.degree) // 8 >= SPLIT_AT
+    assert _grid_length(P.degree) >= SPLIT_AT
     split = lp_norm(P, p, tol=1e-10)
     monkeypatch.setattr(trigpoly, "SPLIT_AT", 1 << 40)
     whole = lp_norm(P, p, tol=1e-10)
@@ -217,17 +218,39 @@ def test_lp_norm_split_transform_matches_one_fft(monkeypatch, p):
     assert split.value == pytest.approx(whole.value, rel=1e-13)
 
 
-def test_coset_sampler_matches_out_of_place_ifft():
-    # one buffer serves every call; each coset still equals a fresh
-    # out-of-place transform of its turned coefficients
-    P = random_poly(np.random.default_rng(83), size=40, degree=3000)
-    M = _start_grid(P.degree) // 8
-    coset = _coset_sampler(P.support, P.coeffs, M)
-    for K, r in ((8 * M, 0), (8 * M, 3), (32 * M, 17), (8 * M, 3)):
-        dense = np.zeros(M, dtype=np.complex128)
-        turn = ((P.support * r) % K) / K
-        dense[P.support] = P.coeffs * np.exp(2j * np.pi * turn)
-        assert np.array_equal(coset(K, r), np.fft.ifft(dense, norm="forward"))
+def test_coset_walker_matches_out_of_place_ifft():
+    # one buffer serves every walk, cosets outer and rows inner; each
+    # yielded coset still equals a fresh out-of-place transform of its
+    # turned row
+    r = np.random.default_rng(83)
+    P = random_poly(r, size=40, degree=3000)
+    rows = [P.coeffs, r.standard_normal(40) + 1j * r.standard_normal(40)]
+    M = _grid_length(P.degree)
+    walk = _coset_walker(P.support, M)
+    for K, cosets in ((8 * M, [0, 3]), (32 * M, [17]), (8 * M, [3])):
+        got = walk(rows, K, cosets)
+        for c in cosets:
+            for row in rows:
+                dense = np.zeros(M, dtype=np.complex128)
+                turn = ((P.support * c) % K) / K
+                dense[P.support] = row * np.exp(2j * np.pi * turn)
+                assert np.array_equal(next(got),
+                                      np.fft.ifft(dense, norm="forward"))
+        assert next(got, None) is None
+
+
+def test_grid_length_is_the_smallest_power_of_two_above_the_degree():
+    # and 8 times it is the first grid of the plain doubling rule, the
+    # smallest power of two >= 8 (D + 1)
+    degrees = list(range(1100)) + [(1 << b) + d for b in range(11, 24)
+                                   for d in (-1, 0, 1)]
+    for D in degrees:
+        M = _grid_length(D)
+        assert M & (M - 1) == 0 and M > D >= M // 2
+        K = 8
+        while K < 8 * (D + 1):
+            K *= 2
+        assert 8 * M == K
 
 
 @pytest.mark.parametrize("K", [1 << 8, 1 << 12, 1 << 16])
@@ -385,12 +408,30 @@ def test_mu_minus_nu_sup_matches_one_full_grid():
     N = 2**12
     mu, nu = measure_mu(bset_xlogx(N)), measure_nu(N)
     sup, K = fourier_sup_of_difference(mu, N)
-    assert K == _start_grid(N)
+    assert K == 8 * _grid_length(N)
     dense = np.zeros(K, dtype=np.complex128)
     np.add.at(dense, mu.atoms, mu.masses)
     np.add.at(dense, nu.atoms, -nu.masses)
     assert sup == pytest.approx(np.max(np.abs(np.fft.ifft(dense) * K)),
                                 rel=1e-13)
+
+
+def test_restriction_quantities_keep_to_one_grid_of_memory():
+    # N = 2^16: the mu - nu sup walks the dense support 0..N on grids of
+    # M = 2^17 points; the walk frees each coset's |P| before it builds the
+    # next turned row, so no second array of M points is alive at a time
+    N = 2**16
+    mu = measure_mu(bset_prop2(N))
+    peaks = []
+    for run in (lambda: fourier_sup_of_difference(mu, N),
+                lambda: restriction_ratio_max(mu, N, 4.2, 16, 7)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 10.0 and peaks[1] <= 5.5
 
 
 def test_mu_minus_nu_sup_equals_the_two_measure_sum_bit_for_bit():
@@ -400,7 +441,7 @@ def test_mu_minus_nu_sup_equals_the_two_measure_sum_bit_for_bit():
         coeff = np.zeros(N + 1, dtype=np.complex128)
         np.add.at(coeff, mu.atoms, mu.masses)
         np.add.at(coeff, nu.atoms, -nu.masses)
-        top, K = _first_grid_max(np.arange(N + 1), [coeff])
+        top, _, K = _first_grid_max(np.arange(N + 1), [coeff])
         assert fourier_sup_of_difference(mu, N) == (float(top[0]), K)
 
 
@@ -501,7 +542,7 @@ def test_lp_norm_bounds_hold(p):
                 assert bound * (1 + 1e-12) >= got
     D = 2047
     support = np.arange(D + 1)
-    half_cell = 1.0 / (2 * _start_grid(D))
+    half_cell = 1.0 / (16 * _grid_length(D))
     rows = np.exp(-2j * np.pi * support * half_cell)[None, :]
     got = lp_norm(TrigPoly(support, rows[0]), p, tol=1e-10).value
     assert _lp_norm_bounds(support, rows, p)[0] * (1 + 1e-12) >= got
@@ -530,8 +571,8 @@ def test_sup_bound_covers_a_peak_between_grid_points():
     # and the Bernstein factor (p = inf in _lp_norm_bounds) recovers it
     D = 2047
     support = np.arange(D + 1)
-    rows = np.exp(-2j * np.pi * support / (2 * _start_grid(D)))[None, :]
-    top, _ = _first_grid_max(support, rows)
+    rows = np.exp(-2j * np.pi * support / (16 * _grid_length(D)))[None, :]
+    top, _, _ = _first_grid_max(support, rows)
     assert top[0] < D + 1 <= _lp_norm_bounds(support, rows, math.inf)[0]
 
 
@@ -539,8 +580,8 @@ def test_first_grid_max_per_row_matches_one_full_grid():
     r = np.random.default_rng(88)
     support = np.sort(r.choice(3000, size=40, replace=False))
     rows = r.standard_normal((3, 40)) + 1j * r.standard_normal((3, 40))
-    top, K = _first_grid_max(support, rows)
-    assert K == _start_grid(int(support[-1]))
+    top, _, K = _first_grid_max(support, rows)
+    assert K == 8 * _grid_length(int(support[-1]))
     for row, got in zip(rows, top):
         full = TrigPoly(support, row).grid_values(K)
         assert got == pytest.approx(np.max(np.abs(full)), rel=1e-13)
