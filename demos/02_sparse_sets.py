@@ -15,7 +15,7 @@ from majorantlab import (
     SlowlyVaryingSpec,
     build_floor_set,
     build_frac_set,
-    fit_loglog_slope,
+    count_sweep,
 )
 
 
@@ -34,21 +34,19 @@ def main():
 
     hx = RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
     phi = InverseFn(hx)
+    # the rows of the count subcommand and of acceptance criterion 1
     print("cardinality of the x log x plus-set against phi2(N):")
-    Ns = [10**4, 10**5, 10**6]
-    ratios = []
-    for N in Ns:
-        b = build_frac_set(SetSpec("frac_plus", hx, hx, N))
-        ref = phi.invert(float(N))
-        ratios.append(len(b) / ref)
-        print(f"   N = {N:>8}: |B_N| = {len(b):>6}, "
-              f"phi2(N) = {ref:10.1f}, ratio = {ratios[-1]:.5f}")
-    slope = fit_loglog_slope(Ns, np.abs(np.array(ratios) - 1.0))
-    print(f"   fitted exponent of |ratio - 1|: {slope:.3f}")
+    rows = count_sweep(lambda N: build_frac_set(SetSpec("frac_plus", hx, hx, N)),
+                       [10**4, 10**5, 10**6])
+    for r in rows:
+        print(f"   N = {r.params['N']:>8}: |B_N| = {r.value:>6.0f}, "
+              f"phi2(N) = {r.reference:10.1f}, ratio = {r.ratio:.5f}")
+    print(f"   fitted exponent of |ratio - 1|: {rows[0].exponent:.3f}")
     print()
 
-    print(f"density at 1e6: {len(b) / 1e6:.5f} "
-          f"(borderline memberships: {b.borderline_count})")
+    last = rows[-1]
+    print(f"density at 1e6: {last.value / 1e6:.5f} "
+          f"(borderline memberships: {last.borderline_count})")
     print(f"phi2(1e6)/1e6 = {phi.invert(1e6) / 1e6:.5f}")
 
 

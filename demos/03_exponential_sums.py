@@ -13,12 +13,11 @@ from majorantlab import (
     SlowlyVaryingSpec,
     build_frac_set,
     decompose_I,
-    error_term,
     exp_sum,
-    fit_loglog_slope,
     golden_xis,
     lemma1_bound,
     model_sum,
+    per_xi_sweep,
     vdc_sum,
 )
 
@@ -28,15 +27,15 @@ def main():
     phi = InverseFn(h)
     xi = float(golden_xis(1)[0])
 
+    # the rows of the expsum-decay subcommand and of acceptance criterion 3
     print(f"error term at the golden frequency xi = {xi:.6f}:")
-    Ns = [10**4, 10**5, 10**6]
-    rel = []
-    for N in Ns:
-        b = build_frac_set(SetSpec("frac_plus", h, h, N))
-        e = error_term(b, [xi])[0]
-        rel.append(e / phi.invert(float(N)))
-        print(f"   N = {N:>8}: |S - model| = {e:10.3f},  /phi2 = {rel[-1]:.2e}")
-    print(f"   fitted decay exponent: {fit_loglog_slope(Ns, rel):.3f}")
+    rows = per_xi_sweep(
+        "expsum-decay", lambda N: build_frac_set(SetSpec("frac_plus", h, h, N)),
+        [10**4, 10**5, 10**6], [xi])
+    for r in rows:
+        print(f"   N = {r.params['N']:>8}: |S - model| = {r.value:10.3f},  "
+              f"/phi2 = {r.ratio:.2e}")
+    print(f"   fitted decay exponent: {rows[0].exponent:.3f}")
     print()
 
     N = 10**4

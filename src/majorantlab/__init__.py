@@ -15,6 +15,7 @@ from .expsum import (
     exp_sum,
     lemma1_bound,
     model_sum,
+    per_xi_sweep,
     sawtooth,
     sawtooth_truncated,
     vdc_bound,
@@ -37,6 +38,7 @@ from .sparseset import (
     build_floor_set,
     build_frac_set,
     build_set,
+    count_sweep,
     load_set,
     member_floor_characterization,
     member_frac,
@@ -63,10 +65,10 @@ __all__ = [
     "MajorantLabError",
     "SlowlyVaryingSpec", "RegVaryFn", "InverseFn", "PsiFn",
     "SetSpec", "SparseSet", "build_floor_set", "build_frac_set", "build_set",
-    "load_set", "member_frac", "member_floor_characterization",
+    "load_set", "member_frac", "member_floor_characterization", "count_sweep",
     "exp_sum", "model_sum", "dirichlet_sum", "error_term",
     "sawtooth", "sawtooth_truncated", "vdc_sum", "vdc_bound", "lemma1_bound",
-    "decompose_I", "weighted_inverse_vs_dirichlet",
+    "decompose_I", "weighted_inverse_vs_dirichlet", "per_xi_sweep",
     "TrigPoly", "QuadratureResult", "DiscreteMeasure", "lp_norm",
     "even_p_oracle", "lower_bound_lowfreq", "measure_mu", "measure_nu",
     "fourier_of_measure", "extension_poly", "ttstar_apply",

@@ -26,11 +26,11 @@ import numpy as np
 
 from . import verify as _verify
 from .errors import AdmissibilityError, CapacityError, ConvergenceError
-from .expsum import error_term, vdc_ratio_sweep, weighted_inverse_vs_dirichlet
+from .expsum import per_xi_sweep, vdc_ratio_sweep
 from .majorant import DEFAULT_BUDGET, p_threshold, uniformity_sweep
 from .rvfunc import ELL_KINDS, InverseFn, PsiFn, RegVaryFn
-from .sparseset import SetSpec, build_frac_set, build_set, frac_scan
-from .sweeps import SweepResult, per_row, sweep, write_csv, write_jsonl, xi_grid
+from .sparseset import SetSpec, build_frac_set, build_set, count_sweep, frac_scan
+from .sweeps import SweepResult, write_csv, write_jsonl, xi_grid
 from .trigpoly import GRID_CAP_DEFAULT, restriction_sweep
 
 
@@ -105,87 +105,38 @@ def _levels_list(spec: str, first: int) -> list:
 def _exp_count(cfg: ExperimentConfig):
     h1, h2 = _family(cfg.h1), _family(cfg.h2)
 
-    def task(N):
-        built = build_set(SetSpec(cfg.kind, h1, h2, int(N),
-                                  psi_mode=cfg.psi_mode))
+    def build(N):
+        built = build_set(SetSpec(cfg.kind, h1, h2, N, psi_mode=cfg.psi_mode))
         if cfg.set_out and N == max(cfg.N_list):
             built.save(cfg.set_out)
-        # the built set's h2: a floor image is counted by phi of h1
-        ref = InverseFn(built.spec.h2).invert(float(N))
-        return [SweepResult(
-            experiment="count", quantity="cardinality_ratio",
-            value=float(len(built)), reference=ref,
-            ratio=len(built) / ref, seed=cfg.seed,
-            borderline_count=built.borderline_count,
-            params={"N": int(N), "kind": cfg.kind,
-                    "h1": built.spec.h1.to_kv(), "h2": built.spec.h2.to_kv(),
-                    "psi_mode": cfg.psi_mode},
-        )]
+        return built
 
-    return sweep(cfg.N_list, task, per_row(lambda r: abs(r.ratio - 1.0)),
-                 workers=cfg.workers)
+    rows = count_sweep(build, cfg.N_list, cfg.seed, cfg.workers)
+    for r in rows:      # a floor image has no window: echo the flag
+        r.params["psi_mode"] = cfg.psi_mode
+    return rows
 
 
-def _exp_per_xi(cfg: ExperimentConfig, quantity, measure, reference, y, params):
-    """measure(bset, xis), one value per xi of the grid, on the set of
-    every N, reported against reference(phi2, N); the rows of one xi
-    share the slope of y(row) against N.  params(h1, h2) adds row
-    columns."""
+def _exp_per_xi(cfg: ExperimentConfig):
+    """expsum-decay and lemma2, the experiments of expsum.per_xi_sweep."""
     h1, h2 = _family(cfg.h1), _family(cfg.h2)
     xis = xi_grid(cfg.xi_rule, seed=cfg.seed)
-    phi2 = InverseFn(h2)
-    extra = params(h1, h2)
-
-    def task(N):
-        bset = build_frac_set(SetSpec(cfg.kind, h1, h2, int(N),
-                                      psi_mode=cfg.psi_mode))
-        ref = reference(phi2, N)
-        values = measure(bset, xis)
-        return [SweepResult(
-            experiment=cfg.experiment, quantity=quantity, value=float(v),
-            reference=ref, ratio=float(v) / ref, seed=cfg.seed,
-            borderline_count=bset.borderline_count,
-            params={"N": int(N), "xi": float(xi), **extra},
-        ) for xi, v in zip(xis, values)]
-
-    return sweep(cfg.N_list, task, per_row(y), key=lambda r: r.params["xi"],
-                 workers=cfg.workers)
-
-
-def _exp_expsum_decay(cfg: ExperimentConfig):
-    return _exp_per_xi(cfg, "error_over_phi2", error_term,
-                       lambda phi2, N: phi2.invert(float(N)),
-                       lambda r: r.ratio,
-                       lambda h1, h2: {"h1": h1.to_kv(), "h2": h2.to_kv()})
-
-
-def _exp_lemma2(cfg: ExperimentConfig):
-    return _exp_per_xi(cfg, "inverse_weight_deviation",
-                       weighted_inverse_vs_dirichlet,
-                       lambda phi2, N: float(N), lambda r: r.value,
-                       lambda h1, h2: {})
+    return per_xi_sweep(
+        cfg.experiment, lambda N: build_frac_set(
+            SetSpec(cfg.kind, h1, h2, N, psi_mode=cfg.psi_mode)),
+        cfg.N_list, xis, cfg.seed, cfg.workers)
 
 
 def _exp_vdc(cfg: ExperimentConfig):
-    h1, h2 = _family(cfg.h1), _family(cfg.h2)
-    phi1 = InverseFn(h1)
-    psi = PsiFn(InverseFn(h2), mode=cfg.psi_mode)
+    phi1 = InverseFn(_family(cfg.h1))
+    psi = PsiFn(InverseFn(_family(cfg.h2)), mode=cfg.psi_mode)
     # the Lemma 1 bound takes phi1(N) and log N
     levels = _levels_list(cfg.levels, max(2, math.ceil(phi1.y0)))
-
-    def task(xis):
-        rows = vdc_ratio_sweep(phi1, psi, cfg.m_max, xis, levels)
-        for r in rows:
-            r.seed = cfg.seed
-        return rows
-
-    def level_max(rows):
-        return levels, [max(r.ratio for r in rows if r.params["N"] == N)
-                        for N in levels]
-
-    # one task: one scan of the index range serves the whole grid
-    xis = xi_grid(cfg.xi_rule, seed=cfg.seed)
-    return sweep([xis], task, level_max, workers=cfg.workers)
+    rows = vdc_ratio_sweep(phi1, psi, cfg.m_max,
+                           xi_grid(cfg.xi_rule, seed=cfg.seed), levels)
+    for r in rows:
+        r.seed = cfg.seed
+    return rows
 
 
 def _exp_prop2(cfg: ExperimentConfig):
@@ -291,9 +242,9 @@ _H = ("h1", "h2", "psi_mode")
 # h1/h2 stand for the flags of that section)
 EXPERIMENTS = {
     "count": (_exp_count, (*_H, "n_list", "kind", "set_out")),
-    "expsum-decay": (_exp_expsum_decay, (*_H, "n_list", "kind", "xi_rule")),
+    "expsum-decay": (_exp_per_xi, (*_H, "n_list", "kind", "xi_rule")),
     "vdc": (_exp_vdc, (*_H, "xi_rule", "m_max", "levels")),
-    "lemma2": (_exp_lemma2, (*_H, "n_list", "kind", "xi_rule")),
+    "lemma2": (_exp_per_xi, (*_H, "n_list", "kind", "xi_rule")),
     "prop2": (_exp_prop2, (*_H, "levels", "trials", "p_offset")),
     "majorant": (_exp_majorant, (*_H, "n_list", "p", "budget", "coeffs_out")),
     "thresholds": (_exp_thresholds, _H),
@@ -303,22 +254,22 @@ EXPERIMENTS = {
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment and write its artifacts."""
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    stem = Path(cfg.out_dir) / cfg.experiment
     try:
+        stem.parent.mkdir(parents=True, exist_ok=True)
         rows = EXPERIMENTS[cfg.experiment][0](cfg)
-    except (AdmissibilityError, ValueError) as exc:
+        echo = cfg.echo()
+        if cfg.fmt in ("csv", "both"):
+            write_csv(stem.with_suffix(".csv"), rows, config_echo=echo)
+        if cfg.fmt in ("jsonl", "both"):
+            write_jsonl(stem.with_suffix(".jsonl"), rows, config_echo=echo)
+    except (AdmissibilityError, ValueError, OSError) as exc:
+        # OSError: an unwritable --out, --set-out or --coeffs-out
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
     except (CapacityError, ConvergenceError) as exc:
         print(f"capacity/budget exceeded: {exc}", file=sys.stderr)
         return 3
-    echo = cfg.echo()
-    stem = out_dir / cfg.experiment
-    if cfg.fmt in ("csv", "both"):
-        write_csv(stem.with_suffix(".csv"), rows, config_echo=echo)
-    if cfg.fmt in ("jsonl", "both"):
-        write_jsonl(stem.with_suffix(".jsonl"), rows, config_echo=echo)
     failed = any(r.experiment == "verify" and r.value == 0.0 for r in rows)
     return 4 if failed else 0
 

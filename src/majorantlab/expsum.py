@@ -41,7 +41,7 @@ from .compensated import (
 from .errors import CapacityError
 from .rvfunc import CHUNK, InverseFn, PsiFn, index_chunks, pairs_and_window
 from .sparseset import DEFAULT_CAP, SparseSet
-from .sweeps import SweepResult
+from .sweeps import SweepResult, per_row, sweep
 
 _TWO_PI = 2.0 * math.pi
 DEFAULT_WORK_BUDGET = 1 << 28
@@ -152,6 +152,40 @@ def weighted_inverse_vs_dirichlet(bset: SparseSet, xis) -> np.ndarray:
                     - model_sum(bset.spec.N, xis))
 
 
+# per_xi_sweep's experiments: quantity, measure(bset, xis), reference(bset),
+# the y(row) fitted against N, and the functions of the spec rows echo
+PER_XI = {
+    "expsum-decay": ("error_over_phi2", error_term,
+                     lambda b: InverseFn(b.spec.h2).invert(float(b.spec.N)),
+                     lambda r: r.ratio, ("h1", "h2")),
+    "lemma2": ("inverse_weight_deviation", weighted_inverse_vs_dirichlet,
+               lambda b: float(b.spec.N), lambda r: r.value, ()),
+}
+
+
+def per_xi_sweep(experiment: str, build_set_fn, N_list, xis, seed=None,
+                 workers: int = 1) -> list[SweepResult]:
+    """The rows of experiment, a key of PER_XI: one per N of N_list and
+    xi of xis, N-major, measuring the set build_set_fn(N) -> SparseSet
+    at xi.  One sweeps.sweep task per N; the rows of one xi share the
+    log-log slope of y(row) against N."""
+    quantity, measure, reference, y, echoed = PER_XI[experiment]
+
+    def task(N):
+        bset = build_set_fn(N)
+        ref = reference(bset)
+        extra = {k: getattr(bset.spec, k).to_kv() for k in echoed}
+        return [SweepResult(
+            experiment=experiment, quantity=quantity, value=float(v),
+            reference=ref, ratio=float(v) / ref, seed=seed,
+            borderline_count=bset.borderline_count,
+            params={"N": N, "xi": float(xi), **extra},
+        ) for xi, v in zip(xis, measure(bset, xis))]
+
+    return sweep([int(N) for N in N_list], task, per_row(y),
+                 key=lambda r: r.params["xi"], workers=workers)
+
+
 # ------------------------------------------------------------- sawtooth
 
 
@@ -230,13 +264,10 @@ def vdc_ratio_sweep(phi1: InverseFn, psi: PsiFn, m_max: int, xi_list,
                     levels, l_values=(0, 1)) -> list[SweepResult]:
     """|full phase sum| / lemma1_bound over m in 1..m_max, the given
     frequencies, and dyadic endpoints N in `levels`; rows go by the
-    position of xi in xi_list, then l, m and N.
-
-    One pass over the index range: powers e(m(phi1 - l psi)) are built
-    progressively and contracted against the frequency matrix, so the
-    cost is a handful of BLAS calls per chunk rather than m_max * |xi|
-    separate scans.  A range of more than sparseset.DEFAULT_CAP indices
-    raises CapacityError, as a set build of that size does.
+    position of xi in xi_list, then l, m and N, and share the log-log
+    slope of the per-level maxima of the ratio.  A range of more than
+    sparseset.DEFAULT_CAP indices raises CapacityError, as a set build
+    of that size does.
     """
     if m_max < 1:
         raise ValueError(f"m-max must be >= 1, got {m_max}")
@@ -244,7 +275,19 @@ def vdc_ratio_sweep(phi1: InverseFn, psi: PsiFn, m_max: int, xi_list,
     if levels[-1] - psi.n_min + 1 > DEFAULT_CAP:
         raise CapacityError(f"VdC scan of {levels[-1] - psi.n_min + 1} "
                             f"indices exceeds cap {DEFAULT_CAP}")
-    xi_arr = np.asarray(list(xi_list), dtype=np.float64)
+    # one sweeps.sweep task: one scan of the index range serves the grid
+    return sweep(
+        [np.asarray(list(xi_list), dtype=np.float64)],
+        lambda xis: _vdc_ratios(phi1, psi, m_max, xis, levels, l_values),
+        lambda rows: (levels, np.reshape([r.ratio for r in rows],
+                                         (-1, len(levels))).max(axis=0)))
+
+
+def _vdc_ratios(phi1, psi, m_max, xi_arr, levels, l_values):
+    """The rows of vdc_ratio_sweep.  Powers e(m(phi1 - l psi)) are built
+    progressively and contracted against the frequency matrix, so the
+    cost is a handful of BLAS calls per chunk rather than m_max * |xi|
+    separate scans."""
     sums = np.zeros((len(l_values), m_max, len(xi_arr), len(levels)),
                     dtype=np.complex128)
     # lemma1_bound(m, N) = sqrt(m) lemma1_bound(1, N): one bound per level

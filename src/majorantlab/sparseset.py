@@ -32,6 +32,7 @@ import numpy as np
 from .compensated import frac_pair
 from .errors import CapacityError
 from .rvfunc import InverseFn, PsiFn, RegVaryFn, index_chunks, pairs_and_window
+from .sweeps import SweepResult, per_row, sweep
 
 DEFAULT_GUARD = 1e-9
 DEFAULT_CAP = 1 << 28
@@ -287,3 +288,24 @@ def build_set(spec: SetSpec, **kw) -> SparseSet:
     if spec.kind == "floor_image":
         return build_floor_set(spec.h1, spec.N, **kw)
     return build_frac_set(spec, **kw)
+
+
+def count_sweep(build_set_fn, N_list, seed: int | None = None,
+                workers: int = 1) -> list[SweepResult]:
+    """The count rows cardinality_ratio of every N of N_list, in its
+    order: |B_N| against phi2(N), the inverse of the built set's h2 (a
+    floor image's is h1).  build_set_fn(N) -> SparseSet; one sweeps.sweep
+    task per N.  The rows share the log-log slope of |ratio - 1| against N."""
+    def task(N):
+        built = build_set_fn(N)
+        ref = InverseFn(built.spec.h2).invert(float(N))
+        return [SweepResult(
+            experiment="count", quantity="cardinality_ratio",
+            value=float(len(built)), reference=ref, ratio=len(built) / ref,
+            seed=seed, borderline_count=built.borderline_count,
+            params={"N": N, "kind": built.spec.kind,
+                    "h1": built.spec.h1.to_kv(), "h2": built.spec.h2.to_kv(),
+                    "psi_mode": built.spec.psi_mode})]
+
+    return sweep([int(N) for N in N_list], task,
+                 per_row(lambda r: abs(r.ratio - 1.0)), workers=workers)

@@ -7,11 +7,13 @@ full:  adds the decay sweeps at reduced sizes; the report then carries
 Acceptance criteria 1-10 have their one definition here, each taking
 its sizes and seeds as arguments: tests/test_acceptance.py calls them
 at the acceptance sizes, the suite at the reduced defaults, with the
-same thresholds.  Criterion 8 reads its rows from
-majorant.uniformity_sweep, the sweep of the majorant subcommand, and
-criterion 9 from trigpoly.restriction_sweep, the sweep of prop2.  Each
-check returns (passed, measured) where measured is a short printable
-summary of what was observed; the CLI turns failures into exit code 4.
+same thresholds.  Six checks read the rows of a subcommand's sweep:
+criteria 1 (count) from sparseset.count_sweep, 3 (expsum-decay) and
+the lemma2 check (lemma2) from expsum.per_xi_sweep, 4 (vdc) from
+expsum.vdc_ratio_sweep, 8 (majorant) from majorant.uniformity_sweep
+and 9 (prop2) from trigpoly.restriction_sweep.  Each check returns
+(passed, measured), where measured is a short printable summary of
+what was observed; the CLI turns failures into exit code 4.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ import numpy as np
 from . import expsum as _expsum
 from .expsum import (
     dirichlet_sum,
-    error_term,
     exp_sum,
+    per_xi_sweep,
     sawtooth_envelope,
     vdc_ratio_sweep,
     vdc_sum,
-    weighted_inverse_vs_dirichlet,
 )
 from .majorant import (
     MajorantProblem,
@@ -44,10 +45,11 @@ from .sparseset import (
     SetSpec,
     build_floor_set,
     build_frac_set,
+    count_sweep,
     member_floor_characterization,
     member_frac,
 )
-from .sweeps import fit_loglog_slope, golden_xis
+from .sweeps import golden_xis
 from .trigpoly import (
     TrigPoly,
     even_p_oracle,
@@ -61,6 +63,12 @@ from .trigpoly import (
 
 def _xlogx():
     return RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
+
+
+def _xlogx_plus(N):
+    """The frac_plus set of h1 = h2 = x log x up to N."""
+    h = _xlogx()
+    return build_frac_set(SetSpec("frac_plus", h, h, N))
 
 
 def _x15():
@@ -141,8 +149,7 @@ def check_minus_set_equals_floor_image():
 
 
 def check_exp_sum_trivial():
-    h = _xlogx()
-    b = build_frac_set(SetSpec("frac_plus", h, h, 4000))
+    b = _xlogx_plus(4000)
     at0 = exp_sum(b, [0.0])[0]
     ok = at0 == complex(len(b))
     s = build_floor_set(_x15(), 12)
@@ -194,8 +201,7 @@ def check_vdc_empty():
 
 
 def check_triangle_inequality():
-    h = _xlogx()
-    b = build_frac_set(SetSpec("frac_plus", h, h, 20000))
+    b = _xlogx_plus(20000)
     xi = float(golden_xis(1)[0])
     got = abs(exp_sum(b, [xi])[0])
     return got <= len(b) * (1 + 1e-12), f"|S| = {got:.2f} <= {len(b)}"
@@ -210,14 +216,10 @@ def _sci(N) -> str:
 
 def check_cardinality(Ns=(10**4, 10**5, 10**6)):
     """Criterion 1: |B_N| / phi2(N) tends to 1 and |ratio - 1| decays."""
-    h = _xlogx()
-    phi = InverseFn(h)
-    ratios = [len(build_frac_set(SetSpec("frac_plus", h, h, N)))
-              / phi.invert(float(N)) for N in Ns]
-    slope = fit_loglog_slope(Ns, np.abs(np.asarray(ratios) - 1.0))
-    ok = 0.95 <= ratios[-1] <= 1.05 and slope < 0
-    return ok, (f"ratio({_sci(Ns[-1])}) = {ratios[-1]:.5f}, "
-                f"|ratio-1| exponent = {slope:.3f}")
+    last = count_sweep(_xlogx_plus, Ns)[-1]
+    ok = 0.95 <= last.ratio <= 1.05 and last.exponent < 0
+    return ok, (f"ratio({_sci(Ns[-1])}) = {last.ratio:.5f}, "
+                f"|ratio-1| exponent = {last.exponent:.3f}")
 
 
 def check_structural_identities(N=10**5):
@@ -245,11 +247,9 @@ def check_structural_identities(N=10**5):
 def check_eq20_decay(Ns=(10**4, 10**5, 10**6), xis=None):
     """Criterion 3: error_term / phi2(N) decays at every xi (default: golden)."""
     xis = [float(golden_xis(1)[0])] if xis is None else xis
-    h = _xlogx()
-    phi = InverseFn(h)
-    rel = np.array([error_term(build_frac_set(SetSpec("frac_plus", h, h, N)),
-                               xis) / phi.invert(float(N)) for N in Ns])
-    slopes = {xi: fit_loglog_slope(Ns, rel[:, k]) for k, xi in enumerate(xis)}
+    rows = per_xi_sweep("expsum-decay", _xlogx_plus, Ns, xis)
+    # the rows of the first N: one per xi, with the slope of that xi
+    slopes = {r.params["xi"]: r.exponent for r in rows[:len(xis)]}
     ok = all(s <= -0.05 for s in slopes.values())
     return ok, "error/phi2 exponents " + ", ".join(
         f"{xi:.3f}: {s:.3f}" for xi, s in slopes.items())
@@ -262,8 +262,7 @@ def check_lemma1_envelope(levels=(2**10, 2**12, 2**14, 2**16, 2**18),
     rows = vdc_ratio_sweep(phi, PsiFn(phi), m_max=m_max,
                            xi_list=golden_xis(n_xis), levels=levels)
     ratios = np.array([r.ratio for r in rows])
-    Ns = np.array([r.params["N"] for r in rows])
-    slope = fit_loglog_slope(levels, [ratios[Ns == N].max() for N in levels])
+    slope = rows[0].exponent
     ok = np.isfinite(ratios).all() and ratios.max() <= 50 and slope <= 0.02
     return ok, (f"max |sum|/bound = {ratios.max():.4f} (fitted constant), "
                 f"growth slope = {slope:.3f}")
@@ -308,9 +307,8 @@ def check_even_p_exactness(n_sets=5, Ns=(10**4,)):
             prob = MajorantProblem(A, top, p, seed=int(rng.integers(2**32)))
             worst = max(worst, estimate_constant(prob, restarts=4,
                                                  max_iter=30).value)
-    h = _xlogx()
     for N in Ns:
-        b = build_frac_set(SetSpec("frac_plus", h, h, N))
+        b = _xlogx_plus(N)
         for p in (2.0, 4.0, 6.0):
             prob = MajorantProblem(b.members, N, p, budget=60, seed=7)
             worst = max(worst, estimate_constant(prob, restarts=2,
@@ -329,10 +327,7 @@ def check_c3_phenomenon():
 
 def check_uniformity(Ns=(2**8, 2**9, 2**10, 2**11), budget=200, seed=77):
     """Criterion 8: p = 2.5 estimates do not grow and stay below the envelope."""
-    h = _xlogx()
-    rows, _ = uniformity_sweep(
-        lambda N: build_frac_set(SetSpec("frac_plus", h, h, N)), 2.5, Ns,
-        budget=budget, seed=seed)
+    rows, _ = uniformity_sweep(_xlogx_plus, 2.5, Ns, budget=budget, seed=seed)
     slope = rows[0].exponent
     below = all(r.value <= r.reference for r in rows)
     return slope <= 0.02 and below, (
@@ -372,19 +367,15 @@ def check_threshold_formula():
 # ----------------------------------------------- further reduced-size checks
 
 
-def check_lemma2_reduced():
-    h = _xlogx()
-    Ns = [10**4, 10**5, 10**6]
-    devs = [weighted_inverse_vs_dirichlet(
-        build_frac_set(SetSpec("frac_plus", h, h, N)), [0.0])[0] for N in Ns]
-    slope = fit_loglog_slope(Ns, devs)
+def check_lemma2_reduced(Ns=(10**4, 10**5, 10**6)):
+    """Lemma 2 at xi = 0: the inverse-weight deviation grows slower than N."""
+    slope = per_xi_sweep("lemma2", _xlogx_plus, Ns, [0.0])[0].exponent
     return slope < 1.0, f"deviation growth exponent {slope:.3f}"
 
 
 def check_sparsity_concrete():
-    h = _xlogx()
-    d4 = len(build_frac_set(SetSpec("frac_plus", h, h, 10**4))) / 10**4
-    d7 = len(build_frac_set(SetSpec("frac_plus", h, h, 10**7))) / 10**7
+    d4 = len(_xlogx_plus(10**4)) / 10**4
+    d7 = len(_xlogx_plus(10**7)) / 10**7
     return d7 < d4, f"density {d4:.4f} at 1e4 vs {d7:.4f} at 1e7"
 
 

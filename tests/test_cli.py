@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from majorantlab import InverseFn, TrigPoly, expsum, load_set, lp_norm
+from majorantlab import (
+    InverseFn, TrigPoly, expsum, golden_xis, load_set, lp_norm)
 from majorantlab.cli import main
 from majorantlab.sweeps import SweepResult, per_row, sweep
 from majorantlab.verify import (
@@ -217,6 +218,49 @@ def test_prop2_exponents_equal_criterion_9(tmp_path, monkeypatch):
         f"mu-nu sup exponent = {slopes['mu_nu_fourier_sup']:.3f}")
 
 
+# each subcommand and the check that reads its sweep run one definition:
+# (subcommand argv, its csv stem, the sweep's name in verify, the check
+# and its arguments)
+_XI = ",".join(repr(float(x)) for x in golden_xis(2))
+SHARED_SWEEPS = [
+    (["count", "--N-list", "1e3,1e4,1e5"], "count", "count_sweep",
+     "check_cardinality", ((10**3, 10**4, 10**5),)),
+    (["expsum-decay", "--N-list", "1e4,1e5", "--xi-rule", "0,0.5"],
+     "expsum-decay", "per_xi_sweep", "check_eq20_decay",
+     ((10**4, 10**5), [0.0, 0.5])),
+    (["lemma2", "--N-list", "1e3,1e4", "--xi-rule", "0"], "lemma2",
+     "per_xi_sweep", "check_lemma2_reduced", ((10**3, 10**4),)),
+    (["vdc", "--levels", "10:12", "--m-max", "3", "--xi-rule", _XI], "vdc",
+     "vdc_ratio_sweep", "check_lemma1_envelope", ((2**10, 2**11, 2**12), 3, 2)),
+]
+
+
+@pytest.mark.parametrize("argv, stem, sweep_name, check, args", SHARED_SWEEPS,
+                         ids=[case[0][0] for case in SHARED_SWEEPS])
+def test_subcommand_writes_its_criterions_rows(tmp_path, monkeypatch, argv,
+                                                stem, sweep_name, check, args):
+    # at the check's family and sizes the CLI writes the rows the check
+    # reads, exponents included, and the check prints that exponent
+    from majorantlab import verify
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    cli_rows = read_rows(tmp_path / f"{stem}.csv")
+    seen = []
+    sweep_fn = getattr(verify, sweep_name)
+
+    def recording(*a, **kw):
+        seen.extend(sweep_fn(*a, **kw))
+        return seen
+
+    monkeypatch.setattr(verify, sweep_name, recording)
+    passed, measured = getattr(verify, check)(*args)
+    assert passed
+    fields = ("quantity", "N", "xi", "m", "l", "value", "ratio", "exponent")
+    assert [tuple(str(r.params.get(k, getattr(r, k, None))) for k in fields)
+            for r in seen] == [tuple(r.get(k, "None") for k in fields)
+                               for r in cli_rows]
+    assert f"{seen[-1].exponent:.3f}" in measured
+
+
 def test_verify_quick_passes(tmp_path, capsys):
     code = main(["verify", "--out", str(tmp_path)])
     assert code == 0
@@ -317,6 +361,26 @@ def test_levels_below_domain_name_the_smallest_level(tmp_path, capsys):
         assert "start below 1, the smallest usable level" in capsys.readouterr().err
     assert main(["prop2", "--levels", "1:2", "--trials", "2", "--out",
                  str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("flag, path", [
+    ("--out", "file/sub"),          # below a regular file
+    ("--set-out", "no/x.txt"),      # below a missing directory
+    ("--set-out", "."),             # a directory
+    ("--coeffs-out", "no/c.csv"),
+])
+def test_unwritable_output_path_is_invalid(tmp_path, capsys, flag, path):
+    # one stderr line that names the path, and exit 2
+    (tmp_path / "file").write_text("")
+    path = tmp_path / path
+    argv = (["majorant", "--N-list", "256", "--budget", "5"]
+            if flag == "--coeffs-out" else ["count", "--N-list", "1e3"])
+    if flag != "--out":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv + [flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters") and err.count("\n") == 1
+    assert str(path) in err
 
 
 @pytest.mark.parametrize("outside", [None, "8192"])
