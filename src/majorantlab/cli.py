@@ -111,10 +111,7 @@ def _exp_count(cfg: ExperimentConfig):
             built.save(cfg.set_out)
         return built
 
-    rows = count_sweep(build, cfg.N_list, cfg.seed, cfg.workers)
-    for r in rows:      # a floor image has no window: echo the flag
-        r.params["psi_mode"] = cfg.psi_mode
-    return rows
+    return count_sweep(build, cfg.N_list, cfg.seed, cfg.workers)
 
 
 def _exp_per_xi(cfg: ExperimentConfig):

@@ -46,7 +46,7 @@ from .sweeps import SweepResult, per_row, sweep
 _TWO_PI = 2.0 * math.pi
 DEFAULT_WORK_BUDGET = 1 << 28
 
-WEIGHTS = ("unit", "psi", "psi_inverse")
+WEIGHTS = ("unit", "psi_inverse")
 
 
 def e1(frac):
@@ -71,18 +71,18 @@ def _member_chunks(bset: SparseSet, xis: np.ndarray, weight: str):
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
     if weight != "unit" and bset.psi is None:
-        raise ValueError("psi/psi_inverse weights need a set built with a window")
+        raise ValueError("the psi_inverse weight needs a set built with a window")
     for a in range(0, len(bset.members), CHUNK):
         n = bset.members[a:a + CHUNK].astype(np.float64)
         if weight == "unit":
             yield n, np.ones_like(n)
         else:
-            w = np.asarray(bset.psi(n), dtype=np.float64)
-            yield n, 1.0 / w if weight == "psi_inverse" else w
+            yield n, 1.0 / np.asarray(bset.psi(n), dtype=np.float64)
 
 
 def exp_sum(bset: SparseSet, xis, weight: str = "unit") -> np.ndarray:
-    """sum over the set of weight(n) * e(xi n), one value per xi in [0, 1)."""
+    """sum over the set of weight(n) * e(xi n), one value per xi in [0, 1);
+    the weight is 1 ("unit") or 1/psi(n) ("psi_inverse")."""
     xis = np.asarray(xis, dtype=np.float64)
     return weighted_sums(_member_chunks(bset, xis, weight), xis)
 
@@ -332,12 +332,12 @@ def _vdc_ratios(phi1, psi, m_max, xi_arr, levels, l_values):
 # -------------------------------------------------- sawtooth decomposition
 
 
-def delta_from_margin(margin: float, fraction: float = 0.9) -> float:
+def delta_from_margin(margin: float) -> float:
     """Work at 90% of the admissible margin: delta with
     3(1-gamma2) + (1-gamma1) + 6 delta < 1 held strictly."""
     if margin <= 0:
         raise ValueError("exponent pair leaves no admissible margin")
-    return fraction * margin / 6.0
+    return 0.9 * margin / 6.0
 
 
 def truncation_M(N: int, phi2: InverseFn, delta: float) -> int:
@@ -345,8 +345,7 @@ def truncation_M(N: int, phi2: InverseFn, delta: float) -> int:
     return max(1, math.ceil(N ** (1.0 + delta) * math.log(N) / phi2.invert(float(N))))
 
 
-def decompose_I(bset: SparseSet, xi: float, M: int, N: int | None = None,
-                budget: int = DEFAULT_WORK_BUDGET):
+def decompose_I(bset: SparseSet, xi: float, M: int, N: int | None = None):
     """The three error pieces of the sawtooth expansion at truncation M.
 
     I1 is the exact double sum with the factors e(m psi(n)) - 1; the
@@ -357,8 +356,9 @@ def decompose_I(bset: SparseSet, xi: float, M: int, N: int | None = None,
         raise ValueError("M must be >= 1")
     N = bset.spec.N if N is None else N
     count = max(N - bset.n_min + 1, 0)
-    if M * count > budget:
-        raise CapacityError(f"I1 needs {M * count} phase terms, budget {budget}")
+    if M * count > DEFAULT_WORK_BUDGET:
+        raise CapacityError(f"I1 needs {M * count} phase terms, "
+                            f"budget {DEFAULT_WORK_BUDGET}")
     I1 = 0.0 + 0.0j
     I2 = 0.0
     I3 = 0.0

@@ -147,14 +147,12 @@ class _GridObjective:
     `measure` returns views that its next call overwrites.
     """
 
-    def __init__(self, support: np.ndarray, p: float, K: int | None = None):
+    def __init__(self, support: np.ndarray, p: float):
         self.support = np.asarray(support, dtype=np.int64)
         self.p = float(p)
-        if K is None:
-            # 2x oversampling is plenty for a ranking surrogate; winners
-            # are re-measured with the adaptive quadrature afterwards
-            K = max(256, 2 * _grid_length(int(self.support[-1])))
-        self.K = K
+        # 2x oversampling is plenty for a ranking surrogate; winners
+        # are re-measured with the adaptive quadrature afterwards
+        self.K = K = max(256, 2 * _grid_length(int(self.support[-1])))
         self.values, self._at_support = _grid_dft(self.support, K)
         self._s = np.empty(K)
         self._w = np.empty(K)
@@ -345,13 +343,13 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
 
 
 def brute_force_constant(A, p: float, alphabet: str = "signs",
-                         fix_global_phase: bool = True, tol: float = 1e-9,
+                         tol: float = 1e-9,
                          budget: int = BRUTE_FORCE_BUDGET) -> MajorantEstimate:
     """Exhaustive maximization over the alphabet "signs" or "fourth_roots".
 
     The objective is invariant under one global unimodular factor, so the
-    first coefficient is pinned to 1 by default; fix_global_phase=False
-    enumerates all positions (for testing that the quotient is lossless).
+    first coefficient is pinned to 1 and the other len(A) - 1 run over
+    the alphabet.
     """
     A = _support(A)
     if not (math.isfinite(p) and p >= 1):
@@ -359,7 +357,7 @@ def brute_force_constant(A, p: float, alphabet: str = "signs",
     qtol = _quad_tol(tol)
     if alphabet not in _ALPHABETS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
-    n_free = len(A) - 1 if fix_global_phase else len(A)
+    n_free = len(A) - 1
     count = len(_ALPHABETS[alphabet]) ** n_free
     obj = _GridObjective(A, p)
     if count * obj.K > budget:

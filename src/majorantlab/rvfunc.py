@@ -29,7 +29,7 @@ index range walk `index_chunks`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,17 +52,13 @@ def _ret(a, scalar):
 
 @dataclass(frozen=True)
 class SlowlyVaryingSpec:
-    """One member of the slowly varying families above.
-
-    x0 is the left endpoint of the domain: the smallest power of two >= 2
-    at which ell is defined and positive (auto-computed when omitted).
-    """
+    """One member of the slowly varying families above.  It has no domain
+    start of its own: RegVaryFn finds where h = x^c ell is usable."""
 
     kind: str
     B: float = 1.0
     C: float = 0.5
     m: int = 1
-    x0: float = field(default=0.0)
 
     def __post_init__(self):
         if self.kind not in ELL_KINDS:
@@ -73,20 +69,6 @@ class SlowlyVaryingSpec:
             raise ValueError("C must lie in (0, 1)")
         if self.kind == "iterated_log" and (self.m < 1 or self.m != int(self.m)):
             raise ValueError("m must be a positive integer")
-        if self.x0 == 0.0:
-            object.__setattr__(self, "x0", self._find_x0())
-        elif self.x0 < 2:
-            raise ValueError("x0 must be >= 2")
-
-    def _find_x0(self) -> float:
-        x0 = 2.0
-        for _ in range(64):
-            with np.errstate(all="ignore"):
-                v = self._ell_raw(np.float64(x0))
-            if np.isfinite(v) and v > 0:
-                return x0
-            x0 *= 2.0
-        raise ValueError("could not locate a valid domain start")
 
     # -- raw evaluations, no domain checks (RegVaryFn checks its own) -----
 
@@ -159,12 +141,13 @@ class SlowlyVaryingSpec:
 class RegVaryFn:
     """Increasing convex h(x) = x^c * ell(x) on [x0, infinity).
 
-    The domain start is the smallest power of two >= the ell domain start
-    at which h' > 0 and h'' >= 0 hold on a log-spaced probe grid, so every
-    instance is increasing and convex by construction.  With c == 1 the
-    slowly varying factor must be one of the unbounded kinds; pass
-    check=False to build degenerate objects (e.g. the identity) for
-    calibration purposes.  Instances with equal c, ell and x0 are equal.
+    The domain start is the smallest power of two from 2 to 2^103 at which
+    h is finite and positive, h' > 0 and h'' >= 0 on a log-spaced probe
+    grid, so every instance is increasing and convex by construction.
+    With c == 1 the slowly varying factor must be one of the unbounded
+    kinds; pass check=False to build degenerate objects (e.g. the
+    identity) for calibration purposes.  Instances with equal c, ell and
+    x0 are equal.
     """
 
     def __init__(self, c: float, ell: SlowlyVaryingSpec, x0: float | None = None,
@@ -206,8 +189,8 @@ class RegVaryFn:
             raise ValueError(f"h is not increasing and convex from x0={self.x0}")
 
     def _find_x0(self) -> float:
-        x0 = self.ell.x0
-        for _ in range(40):
+        x0 = 2.0
+        for _ in range(103):
             if self._increasing_convex_from(x0):
                 return x0
             x0 *= 2.0
@@ -440,11 +423,9 @@ class PsiFn:
         self.mode = mode
         self.n_min = self._find_n_min()
 
-    def _raw(self, x, order=0):
+    def _raw(self, x):
         if self.mode == "derivative":
-            return self.phi2.deriv(x, order + 1)
-        if order:
-            return self.phi2.deriv(x + 1.0, order) - self.phi2.deriv(x, order)
+            return self.phi2.deriv(x, 1)
         return _pairs_and_steps(self.phi2, x)[2]
 
     def _find_n_min(self) -> int:
@@ -468,13 +449,11 @@ class PsiFn:
                 lo = mid
         return hi
 
-    def value(self, x, order: int = 0):
+    def value(self, x):
         x, scalar = _as_array(x)
         if np.any(x < self.n_min):
             raise DomainError(f"x below n_min = {self.n_min}")
-        if order not in (0, 1, 2):
-            raise ValueError("psi order must be 0, 1 or 2")
-        return _ret(self._raw(x, order), scalar)
+        return _ret(self._raw(x), scalar)
 
     __call__ = value
 

@@ -15,7 +15,7 @@ Since the integer part of phi1(n) eats most of the double mantissa at
 large n, phi1 is evaluated as a head/tail pair, which
 rvfunc.pairs_and_window returns with psi(n) (one solve per index when
 h2 equals h1), and the fractional part is taken on the pair.  Margins
-closer to zero than a guard band (default 1e-9) are counted as
+closer to zero than the guard band DEFAULT_GUARD = 1e-9 are counted as
 borderline and reported; the membership bit then follows the sign of
 the compensated margin.
 """
@@ -23,9 +23,7 @@ the compensated margin.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -110,46 +108,25 @@ class SparseSet:
                f"borderline_count={self.borderline_count}")
 
     def save(self, path):
-        """Write the set; '.bin' suffix selects the binary layout,
-        anything else the one-member-per-line text layout."""
-        path = Path(path)
-        if path.suffix == ".bin":
-            header = "\n".join(self._header_lines()).encode()
-            with open(path, "wb") as fh:
-                fh.write(b"MLSET1\x00\x00")
-                fh.write(struct.pack("<I", len(header)))
-                fh.write(header)
-                fh.write(struct.pack("<Q", len(self.members)))
-                fh.write(np.ascontiguousarray(self.members, dtype="<i8").tobytes())
-        else:
-            with open(path, "w") as fh:
-                for line in self._header_lines():
-                    fh.write(f"# {line}\n")
-                for m in self.members:
-                    fh.write(f"{m}\n")
+        """Write the set in the text layout: the header as '# ' lines,
+        then one member per line."""
+        with open(path, "w") as fh:
+            for line in self._header_lines():
+                fh.write(f"# {line}\n")
+            for m in self.members:
+                fh.write(f"{m}\n")
 
 
 def load_set(path) -> SparseSet:
-    path = Path(path)
-    if path.suffix == ".bin":
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != b"MLSET1\x00\x00":
-                raise ValueError("not a majorantlab binary set file")
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = fh.read(hlen).decode().splitlines()
-            (count,) = struct.unpack("<Q", fh.read(8))
-            members = np.frombuffer(fh.read(8 * count), dtype="<i8").astype(np.int64)
-    else:
-        header = []
-        members = []
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    header.append(line[1:].strip())
-                elif line.strip():
-                    members.append(int(line))
-        members = np.asarray(members, dtype=np.int64)
+    header = []
+    members = []
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                header.append(line[1:].strip())
+            elif line.strip():
+                members.append(int(line))
+    members = np.asarray(members, dtype=np.int64)
     kv = {}
     h1 = h2 = None
     for line in header[1:]:
@@ -206,8 +183,7 @@ def member_floor_characterization(n, phi1: InverseFn, psi):
 # ------------------------------------------------------------- builders
 
 
-def build_floor_set(h: RegVaryFn, N: int, cap: int = DEFAULT_CAP,
-                    guard: float = DEFAULT_GUARD) -> SparseSet:
+def build_floor_set(h: RegVaryFn, N: int) -> SparseSet:
     """{floor(h(n)) : n >= x0} in [1, N], sorted and deduplicated.
 
     h(n) is evaluated in extended precision so the floor is reliable
@@ -222,15 +198,15 @@ def build_floor_set(h: RegVaryFn, N: int, cap: int = DEFAULT_CAP,
         n_end = int(math.floor(phi.invert(float(N + 1))))
         ld = np.longdouble
         # longdouble cannot step n_end by one far past any cap
-        if n_end - n_start <= cap:
+        if n_end - n_start <= DEFAULT_CAP:
             while n_end >= n_start and h.value_longdouble(ld(n_end)) >= ld(N + 1):
                 n_end -= 1
             while h.value_longdouble(ld(n_end + 1)) < ld(N + 1):
                 n_end += 1
     count = n_end - n_start + 1
-    if count > cap:
+    if count > DEFAULT_CAP:
         raise CapacityError(
-            f"floor set build needs {count} evaluations, cap is {cap}")
+            f"floor set build needs {count} evaluations, cap is {DEFAULT_CAP}")
     spec = SetSpec("floor_image", h, h, N)
     borderline = 0
     out = [np.empty(0, dtype=np.int64)]
@@ -238,7 +214,8 @@ def build_floor_set(h: RegVaryFn, N: int, cap: int = DEFAULT_CAP,
         vals = h.value_longdouble(n)
         floors = np.floor(vals)
         fr = np.asarray(vals - floors, dtype=np.float64)
-        borderline += int(np.count_nonzero((fr < guard) | (fr > 1 - guard)))
+        borderline += int(np.count_nonzero((fr < DEFAULT_GUARD)
+                                           | (fr > 1 - DEFAULT_GUARD)))
         out.append(np.asarray(floors, dtype=np.int64))
     floors = np.concatenate(out)
     # h increases on its domain and the chunks run in increasing n, so the
@@ -253,7 +230,7 @@ def build_floor_set(h: RegVaryFn, N: int, cap: int = DEFAULT_CAP,
                      phi1=phi, psi=None)
 
 
-def frac_scan(h1: RegVaryFn, h2: RegVaryFn, psi_mode: str = "difference"):
+def frac_scan(h1: RegVaryFn, h2: RegVaryFn, psi_mode: str):
     """phi1, the window psi and n_min, the first index that a frac set of
     (h1, h2) scans: phi1 is defined from h1(x0) on and psi is at most 1/2
     from psi.n_min on, so no such set has a member below n_min."""
@@ -263,31 +240,32 @@ def frac_scan(h1: RegVaryFn, h2: RegVaryFn, psi_mode: str = "difference"):
     return phi1, psi, max(psi.n_min, math.ceil(phi1.y0 - 1e-9))
 
 
-def build_frac_set(spec: SetSpec, guard: float = DEFAULT_GUARD,
-                   cap: int = DEFAULT_CAP) -> SparseSet:
+def build_frac_set(spec: SetSpec) -> SparseSet:
     """Scan [n_min, N] with member_frac; deterministic, chunked."""
     if spec.kind not in ("frac_plus", "frac_minus"):
-        raise ValueError("build_frac_set needs a frac_plus or frac_minus spec")
+        raise ValueError(f"kind {spec.kind} has no window psi; this needs "
+                         "kind frac_plus or frac_minus")
     sign = 1 if spec.kind == "frac_plus" else -1
     phi1, psi, n_min = frac_scan(spec.h1, spec.h2, spec.psi_mode)
     N = spec.N
-    if N - n_min + 1 > cap:
-        raise CapacityError(f"frac set scan of {N - n_min + 1} exceeds cap {cap}")
+    if N - n_min + 1 > DEFAULT_CAP:
+        raise CapacityError(
+            f"frac set scan of {N - n_min + 1} exceeds cap {DEFAULT_CAP}")
     members = [np.empty(0, dtype=np.int64)]
     borderline = 0
     for n in index_chunks(n_min, N):
         head, tail, psv = pairs_and_window(n, phi1, psi)
         margin = psv - frac_pair(head, tail, sign=sign)
-        borderline += int(np.count_nonzero(np.abs(margin) < guard))
+        borderline += int(np.count_nonzero(np.abs(margin) < DEFAULT_GUARD))
         members.append(np.asarray(n[margin > 0], dtype=np.int64))
     return SparseSet(spec, np.concatenate(members), n_min=n_min,
                      borderline_count=borderline, phi1=phi1, psi=psi)
 
 
-def build_set(spec: SetSpec, **kw) -> SparseSet:
+def build_set(spec: SetSpec) -> SparseSet:
     if spec.kind == "floor_image":
-        return build_floor_set(spec.h1, spec.N, **kw)
-    return build_frac_set(spec, **kw)
+        return build_floor_set(spec.h1, spec.N)
+    return build_frac_set(spec)
 
 
 def count_sweep(build_set_fn, N_list, seed: int | None = None,

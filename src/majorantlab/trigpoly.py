@@ -252,7 +252,7 @@ def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
         new_cosets = range(1, K // M, 2)
 
 
-def even_p_oracle(P: TrigPoly, p: int, budget: int = _CONV_BUDGET) -> float:
+def even_p_oracle(P: TrigPoly, p: int) -> float:
     """||P||_p^p for even p via iterated coefficient convolution.
 
     Exact up to roundoff and entirely independent of quadrature: the
@@ -264,8 +264,8 @@ def even_p_oracle(P: TrigPoly, p: int, budget: int = _CONV_BUDGET) -> float:
     keys = P.support.copy()
     vals = P.coeffs.copy()
     for _ in range(p // 2 - 1):
-        if len(keys) * len(P.support) > budget:
-            raise CapacityError("convolution exceeds the configured budget")
+        if len(keys) * len(P.support) > _CONV_BUDGET:
+            raise CapacityError("convolution exceeds its budget")
         grid = (keys[:, None] + P.support[None, :]).ravel()
         prod = (vals[:, None] * P.coeffs[None, :]).ravel()
         keys, inv = np.unique(grid, return_inverse=True)
@@ -274,7 +274,7 @@ def even_p_oracle(P: TrigPoly, p: int, budget: int = _CONV_BUDGET) -> float:
     return float(np.sum(np.abs(vals) ** 2))
 
 
-def lower_bound_lowfreq(A, p: float, N: int | None = None) -> float:
+def lower_bound_lowfreq(A, p: float, N: int) -> float:
     """Certified lower bound for || sum_{n in A} e(n .) ||_p from the
     frequency window |xi| <= 1/(100 N).
 
@@ -292,8 +292,6 @@ def lower_bound_lowfreq(A, p: float, N: int | None = None) -> float:
     A = np.asarray(A, dtype=np.int64)
     if len(A) == 0:
         raise ValueError("A must be nonempty")
-    if N is None:
-        N = max(int(A[-1]), 1)
     if int(A[-1]) > N:
         raise ValueError("max(A) must not exceed N")
     half = 1.0 / (100.0 * N)

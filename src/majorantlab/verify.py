@@ -169,12 +169,11 @@ def check_sawtooth_values():
     return bool(ok), "sawtooth at 0.25 and integers"
 
 
-def check_sawtooth_envelope(sawtooth_fn=None, M: int = 64):
-    """Truncation error against min(1, 1/(M ||x||)); the sawtooth under
-    test is injectable so the suite itself can be mutation-tested."""
-    fn = sawtooth_fn if sawtooth_fn is not None else _expsum.sawtooth
+def check_sawtooth_envelope(M: int = 64):
+    """Truncation error against min(1, 1/(M ||x||)); expsum.sawtooth is
+    read at call time, so a test can mutate it to check the check."""
     x = np.linspace(0.001, 0.999, 1999)
-    err = np.abs(fn(x) - _expsum.sawtooth_truncated(x, M))
+    err = np.abs(_expsum.sawtooth(x) - _expsum.sawtooth_truncated(x, M))
     K = float(np.max(err / sawtooth_envelope(x, M)))
     return K <= 2.0, f"fitted envelope constant {K:.3f} at M={M}"
 

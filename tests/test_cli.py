@@ -157,6 +157,19 @@ def test_count_rows_echo_the_built_sets_functions(tmp_path):
     assert row["h2"] == row["h1"] == "family=log_power, B=1, c=1, x0=2"
 
 
+def test_count_row_and_set_out_header_agree(tmp_path):
+    # a floor image has no window: its row says the built spec's
+    # psi_mode, as the header of its --set-out file does, not the flag
+    out_set = tmp_path / "s.txt"
+    assert main(["count", "--kind", "floor_image", "--psi-mode", "derivative",
+                 "--N-list", "1e3", "--set-out", str(out_set),
+                 "--out", str(tmp_path)]) == 0
+    row, = read_rows(tmp_path / "count.csv")
+    header = out_set.read_text().splitlines()[1]
+    assert f"psi_mode={row['psi_mode']}" in header
+    assert row["psi_mode"] == load_set(out_set).spec.psi_mode
+
+
 def test_majorant_tol_reaches_the_estimates(tmp_path, monkeypatch):
     import majorantlab.majorant as majorant_mod
 
@@ -338,6 +351,9 @@ def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
     ["prop2", "--levels", "0:2"],
     ["prop2", "--levels=-1:2"],
     ["vdc", "--levels", "0:3"],
+    # a set kind without the window psi that the experiment needs
+    ["expsum-decay", "--N-list", "1e3", "--kind", "floor_image"],
+    ["lemma2", "--N-list", "1e3", "--kind", "floor_image"],
 ])
 def test_exit_code_bad_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -347,10 +363,22 @@ def test_exit_code_bad_input(tmp_path, capsys, argv):
     # --flag=value); the message names it
     flag = argv[-1].partition("=")[0] if "=" in argv[-1] else argv[-2]
     if flag in ("--xi-rule", "--m-max", "--p-offset", "--budget",
-                "--grid-cap", "--workers", "--levels"):
+                "--grid-cap", "--workers", "--levels", "--kind"):
         assert flag[2:] in err
     if "--p" in argv:
         assert "p must be finite" in err
+
+
+@pytest.mark.parametrize("experiment", ["prop2", "majorant"])
+def test_config_kind_without_window_names_the_setting(tmp_path, capsys,
+                                                      experiment):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[params]\nkind = floor_image\n")
+    assert main(["--config", str(cfg), experiment, "--out",
+                 str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "kind floor_image has no window psi" in err
+    assert err.count("\n") == 1
 
 
 def test_levels_below_domain_name_the_smallest_level(tmp_path, capsys):
@@ -633,14 +661,13 @@ def test_jsonl_mirror_matches_csv(tmp_path):
 # ----------------------------------------------------- verify suite details
 
 
-def test_sawtooth_mutation_is_caught():
+def test_sawtooth_mutation_is_caught(monkeypatch):
     # a sign error in the sawtooth must trip the envelope check
-    def broken(x):
-        return -(expsum.sawtooth(x))
-
     ok, _ = check_sawtooth_envelope()
     assert ok
-    bad, measured = check_sawtooth_envelope(sawtooth_fn=broken)
+    sawtooth = expsum.sawtooth
+    monkeypatch.setattr(expsum, "sawtooth", lambda x: -sawtooth(x))
+    bad, measured = check_sawtooth_envelope()
     assert not bad
 
 

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from majorantlab import InverseFn, PsiFn, RegVaryFn, SlowlyVaryingSpec
+from majorantlab import (CapacityError, InverseFn, PsiFn, RegVaryFn,
+                         SlowlyVaryingSpec, expsum)
 from majorantlab.expsum import (
     decompose_I,
     delta_from_margin,
@@ -84,12 +85,11 @@ def test_exp_sum_half_parity():
 
 def test_exp_sum_triangle_inequality():
     b = bset_xlogx(10**4)
-    for w in ("unit", "psi", "psi_inverse"):
+    for w in ("unit", "psi_inverse"):
         total = abs(exp_sum(b, golden_xis(1), w)[0])
         cap = np.sum(np.abs(
-            np.ones(len(b)) if w == "unit" else
-            (b.psi(b.members.astype(float)) if w == "psi"
-             else 1.0 / b.psi(b.members.astype(float)))))
+            np.ones(len(b)) if w == "unit"
+            else 1.0 / b.psi(b.members.astype(float))))
         assert total <= cap * (1 + 1e-12)
 
 
@@ -116,7 +116,8 @@ def test_one_scan_per_frequency_vector_is_bitwise_per_xi():
     mu = measure_mu(b)
     for many, one in (
         (exp_sum(b, xis), lambda xi: exp_sum(b, [xi])),
-        (exp_sum(b, xis, "psi"), lambda xi: exp_sum(b, [xi], "psi")),
+        (exp_sum(b, xis, "psi_inverse"),
+         lambda xi: exp_sum(b, [xi], "psi_inverse")),
         (model_sum(b.spec.N, xis, "psi", psi=b.psi),
          lambda xi: model_sum(b.spec.N, [xi], "psi", psi=b.psi)),
         (fourier_of_measure(mu, xis), lambda xi: fourier_of_measure(mu, [xi])),
@@ -130,6 +131,7 @@ def test_one_scan_per_frequency_vector_is_bitwise_per_xi():
     (([0.2, 1.0], "unit"), "[0, 1)"),
     (([-0.1], "unit"), "[0, 1)"),
     (([0.2], "squared"), "unknown weight"),
+    (([0.2], "psi"), "unknown weight"),
 ])
 def test_exp_sum_rejects_bad_requests(args, word):
     with pytest.raises(ValueError, match=re.escape(word)):
@@ -140,7 +142,7 @@ def test_exp_sum_non_unit_weight_needs_a_window():
     floor_set = build_floor_set(x15(), 100)
     assert exp_sum(floor_set, [0.25]).shape == (1,)
     with pytest.raises(ValueError, match="window"):
-        exp_sum(floor_set, [0.25], "psi")
+        exp_sum(floor_set, [0.25], "psi_inverse")
 
 
 # -------------------------------------------------------------- model_sum
@@ -327,6 +329,21 @@ def test_decompose_reconstructs_error_sum():
         I1, I2, I3 = decompose_I(b, xi, M=64)
         assert abs(S - I1) <= 2.0 * (I2 + I3) + 1e-9
         assert abs(abs(S) - abs(I1)) <= 2.0 * (I2 + I3) + 1e-9
+
+
+def test_decompose_over_the_work_budget_raises_before_it_scans(monkeypatch):
+    b = bset_xlogx(2000)
+    work = 4 * (2000 - b.n_min + 1)         # M phase terms per index
+    monkeypatch.setattr(expsum, "DEFAULT_WORK_BUDGET", work)
+    decompose_I(b, 0.25, M=4)
+
+    def no_scan(lo, hi):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(expsum, "DEFAULT_WORK_BUDGET", work - 1)
+    monkeypatch.setattr(expsum, "index_chunks", no_scan)
+    with pytest.raises(CapacityError, match=f"I1 needs {work} phase terms"):
+        decompose_I(b, 0.25, M=4)
 
 
 def test_zero_window_kills_I1():

@@ -16,7 +16,8 @@ from majorantlab.majorant import (
     p_threshold,
     uniformity_sweep,
 )
-from majorantlab.majorant import _GridObjective, _phase_ascent
+from majorantlab.majorant import (_ALPHABETS, _best_pattern, _GridObjective,
+                                  _phase_ascent)
 from majorantlab.sparseset import SetSpec, build_frac_set
 from majorantlab.sweeps import derive_seed
 from majorantlab.trigpoly import SPLIT_AT, TrigPoly, lp_norm
@@ -200,13 +201,18 @@ def test_brute_force_two_element_sign_symmetry():
 
 
 def test_global_phase_quotient_lossless():
+    # brute force pins the first coefficient; letting it run over the
+    # alphabet too finds no larger norm
     r = rng()
-    for alphabet in ("signs", "fourth_roots"):
+    for alphabet, letters in _ALPHABETS.items():
         A = random_set(r, 5, 24)
-        fixed = brute_force_constant(A, 3.0, alphabet, fix_global_phase=True)
-        free = brute_force_constant(A, 3.0, alphabet, fix_global_phase=False)
-        assert fixed.value == pytest.approx(free.value, abs=1e-9)
-        assert free.trials == fixed.trials * (2 if alphabet == "signs" else 4)
+        fixed = brute_force_constant(A, 3.0, alphabet)
+        free, count = _best_pattern(_GridObjective(A, 3.0), letters, len(A))
+        free_value = (lp_norm(TrigPoly(A, free), 3.0, tol=1e-9).value
+                      / lp_norm(TrigPoly(A, np.ones(len(A))), 3.0,
+                                tol=1e-9).value)
+        assert fixed.value == pytest.approx(free_value, abs=1e-9)
+        assert count == fixed.trials * len(letters)
 
 
 def test_brute_force_capacity_error(monkeypatch):
@@ -277,13 +283,18 @@ def test_phase_ascent_reaches_the_sign_brute_force_c3(r):
 # ------------------------------------------------------------- gradient
 
 
-@pytest.mark.parametrize("p, K", [(2.5, None), (3.0, None), (5.0, None),
-                                  (3.0, SPLIT_AT)],
+@pytest.mark.parametrize("p, top", [(2.5, None), (3.0, None), (5.0, None),
+                                    (3.0, SPLIT_AT // 4)],
                          ids=["2.5", "3.0", "5.0", "3.0-split"])
-def test_gradient_matches_finite_differences(p, K):
+def test_gradient_matches_finite_differences(p, top):
+    # a frequency at SPLIT_AT / 4 puts the grid at SPLIT_AT points, where
+    # the transforms are split
     r = rng()
     A = random_set(r, 20, 96)
-    obj = _GridObjective(A, p, K)
+    if top:
+        A = np.append(A, top)
+    obj = _GridObjective(A, p)
+    assert (obj.K >= SPLIT_AT) == bool(top)
     theta = r.uniform(0, 2 * math.pi, size=len(A))
     _, g = obj.value_and_grad(theta)
     step = 1e-5

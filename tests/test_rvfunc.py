@@ -91,6 +91,24 @@ def test_domain_error_below_x0():
         InverseFn(h).invert(0.5)
 
 
+@pytest.mark.parametrize("c, ell, x0", [
+    (1.0, SlowlyVaryingSpec("log_power", B=1.0), 2.0),
+    # ell(2) > 0, but h'' < 0 at 2: the probe moves past ell's start
+    (1.0, SlowlyVaryingSpec("exp_log_power", B=1.0, C=0.1), 4.0),
+    (1.0, SlowlyVaryingSpec("iterated_log", m=2), 4.0),
+    (1.0, SlowlyVaryingSpec("iterated_log", m=3), 16.0),
+    (1.0, SlowlyVaryingSpec("iterated_log", m=4), 4194304.0),
+], ids=["xlogx", "exp_log_power_C0.1", "iterlog2", "iterlog3", "iterlog4"])
+def test_domain_start_is_the_first_increasing_convex_power_of_two(c, ell, x0):
+    assert RegVaryFn(c, ell).x0 == x0
+
+
+def test_domain_start_search_rejects_a_concave_h():
+    # x^0.5 log x is concave from some point on, whatever the start
+    with pytest.raises(ValueError, match="increasing and convex"):
+        RegVaryFn(0.5, SlowlyVaryingSpec("log_power", B=1.0))
+
+
 def test_overflow_error_on_huge_argument():
     h = x15()
     with pytest.raises(OverflowError):
@@ -215,14 +233,6 @@ def test_psi_sandwich(mode):
     # n_min is the first such integer
     if psi.n_min > math.ceil(psi.phi2.y0):
         assert psi._raw(float(psi.n_min - 1)) > 0.5
-
-
-def test_psi_prime_tracks_phi2_second():
-    phi = InverseFn(xlogx())
-    psi = PsiFn(phi)
-    xs = np.array([1e6, 1e7, 1e8])
-    ratio = psi.value(xs, order=1) / phi.deriv(xs, 2)
-    assert np.all(np.abs(ratio - 1.0) < 5e-3)
 
 
 def test_psi_domain_error():

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from majorantlab import InverseFn, PsiFn, RegVaryFn, SlowlyVaryingSpec
+from majorantlab import (CapacityError, InverseFn, PsiFn, RegVaryFn,
+                         SlowlyVaryingSpec, sparseset)
 from majorantlab.cli import main
 from majorantlab.sparseset import (
     SetSpec,
@@ -241,6 +242,20 @@ def test_count_mixed_families(tmp_path):
     assert abs(float(rows[-1]["ratio"]) - 1) < 0.05
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_floor_set(xlogx(), 10**4),
+    lambda: build_frac_set(SetSpec("frac_plus", xlogx(), xlogx(), 10**4)),
+], ids=["floor_image", "frac_plus"])
+def test_build_over_the_cap_raises_before_it_scans(build, monkeypatch):
+    def no_scan(lo, hi):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(sparseset, "DEFAULT_CAP", 100)
+    monkeypatch.setattr(sparseset, "index_chunks", no_scan)
+    with pytest.raises(CapacityError, match="cap is 100|cap 100"):
+        build()
+
+
 # ------------------------------------------------------ spec admissibility
 
 
@@ -258,10 +273,12 @@ def test_admissibility_flags():
 
 @pytest.mark.parametrize("suffix", [".txt", ".bin"])
 def test_save_load_round_trip(tmp_path, suffix):
+    # one text layout, whatever the suffix
     h = xlogx()
     s = build_frac_set(SetSpec("frac_plus", h, h, 5000))
     p = tmp_path / f"set{suffix}"
     s.save(p)
+    assert p.read_text().startswith("# majorantlab set v1\n")
     back = load_set(p)
     assert np.array_equal(back.members, s.members)
     assert back.n_min == s.n_min
