@@ -20,11 +20,10 @@ with earliest-restart tie-break):
 * all ones: the reference polynomial itself, ratio 1;
 * sign patterns: all 2^(|A|-1) of them, the first pinned to +1, while
   |A| - 1 <= EXHAUSTIVE_SIGN_LIMIT = 12, max(1, 2^22 // K) per batch;
-* phases: L-BFGS ascent on the grid-discretized objective (two-loop
-  recursion over the last 8 curvature pairs, steepest ascent when that
-  direction does not ascend) with backtracking line search from the unit
-  step (Armijo factor 1e-4, halving steps), stopped when the gradient
-  sup-norm drops below 1e-7 times the objective.
+* phases: up to 16 L-BFGS ascents on the grid objective (memory 8,
+  Armijo backtracking from the unit step), each stopped when its gradient
+  sup-norm drops below 1e-7 times the objective; no more start once two
+  in a row fail to raise the best objective by more than 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -41,7 +40,9 @@ from .sweeps import SweepResult, derive_seed, per_row, sweep
 from .trigpoly import (GRID_CAP_DEFAULT, TrigPoly, _grid_dft, _grid_length,
                        lower_bound_lowfreq, lp_norm)
 
-DEFAULT_RESTARTS = 16          # phase ascents per estimate
+DEFAULT_RESTARTS = 16          # the most phase ascents per estimate
+STOP_AFTER_FAILS = 2           # restarts in a row that do not raise the best
+RAISE_RTOL = 1e-9              # raising means F > best F (1 + RAISE_RTOL)
 DEFAULT_MAX_ITER = 200
 # twice what the default restarts can spend: it never cuts an ascent short
 DEFAULT_BUDGET = 2 * DEFAULT_RESTARTS * DEFAULT_MAX_ITER
@@ -49,7 +50,8 @@ ARMIJO = 1e-4
 LBFGS_MEMORY = 8               # curvature pairs the phase ascent keeps
 GRAD_STOP = 1e-7
 EXHAUSTIVE_SIGN_LIMIT = 12     # 2^12 sign patterns, max(1, 2^22 // K) a batch
-BRUTE_FORCE_BUDGET = 1 << 31
+BRUTE_FORCE_BUDGET = 1 << 31   # patterns times grid points
+BRUTE_FORCE_TOL = 1e-9
 
 
 def p_threshold(c1: float, c2: float) -> float:
@@ -105,8 +107,8 @@ class MajorantEstimate:
 
     `method` names the candidate that won: `all_ones`, `signs_exhaustive`
     or `phase_gradient` from estimate_constant, `brute_force` from
-    brute_force_constant.  `trials` counts the candidates scored, and
-    `norm_tol` is the tolerance the quadratures ran at."""
+    brute_force_constant.  `trials` counts the candidates scored, each
+    phase restart run as one, and `norm_tol` is the quadratures' tolerance."""
 
     value: float
     argmax_coeffs: np.ndarray
@@ -287,11 +289,12 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
 
     The all-ones choice is always a candidate, of ratio 1, so the result
     is never below 1.  Every sign pattern is scored when |A| - 1 <=
-    EXHAUSTIVE_SIGN_LIMIT.  Then up to `restarts` phase ascents run while
-    the budget lasts: restart 0 from theta = 0, restart r from angles
-    drawn with derive_seed(seed, 1000 + r); the best objective wins,
-    earlier restarts winning ties.  `cap` is the grid cap of the
-    quadratures that re-measure the finalists.
+    EXHAUSTIVE_SIGN_LIMIT.  Then up to `restarts` phase ascents run, from
+    theta = 0 (at F(all-ones)), then restart r from angles drawn with
+    derive_seed(seed, 1000 + r), until the budget (`budget_exhausted`) or
+    STOP_AFTER_FAILS in a row ending at most RAISE_RTOL above the best F
+    end them; the best F wins, earlier restarts winning ties.  `cap` is
+    the grid cap of the quadratures that re-measure the finalists.
     """
     qtol = _quad_tol(tol)
     A = prob.A
@@ -300,7 +303,6 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
     finalists = []
     # the all-ones candidate counts as one trial and one unit of budget
     used = trials = 1
-    exhausted = False
 
     if len(A) - 1 <= EXHAUSTIVE_SIGN_LIMIT:
         pat, count = _best_pattern(obj, _ALPHABETS["signs"], len(A) - 1)
@@ -308,16 +310,17 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
         trials += count
         used += 1
 
-    best_F, best_theta = -math.inf, None
+    best_F, best_theta, fails, exhausted = -math.inf, None, 0, False
     for r in range(restarts):
-        if used >= prob.budget:
-            exhausted = True
+        if fails == STOP_AFTER_FAILS or used >= prob.budget:
+            exhausted = fails < STOP_AFTER_FAILS
             break
         rng = np.random.default_rng(derive_seed(prob.seed, 1000 + r))
         theta = (np.zeros(len(A)) if r == 0
                  else rng.uniform(0.0, 2.0 * math.pi, size=len(A)))
         theta[0] = 0.0
         th, F, spent = _phase_ascent(obj, theta, max_iter, prob.budget - used)
+        fails = 0 if F > best_F * (1.0 + RAISE_RTOL) else fails + 1
         if F > best_F:
             best_F, best_theta = F, th
         used += spent
@@ -342,32 +345,28 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
 # ------------------------------------------------------------- brute force
 
 
-def brute_force_constant(A, p: float, alphabet: str = "signs",
-                         tol: float = 1e-9,
-                         budget: int = BRUTE_FORCE_BUDGET) -> MajorantEstimate:
-    """Exhaustive maximization over the alphabet "signs" or "fourth_roots".
-
-    The objective is invariant under one global unimodular factor, so the
-    first coefficient is pinned to 1 and the other len(A) - 1 run over
-    the alphabet.
+def brute_force_constant(A, p: float, alphabet: str = "signs") -> MajorantEstimate:
+    """Exhaustive maximization over the alphabet "signs" or "fourth_roots",
+    the first coefficient pinned to 1 (the objective is invariant under one
+    global unimodular factor) and the other len(A) - 1 run over it.
     """
     A = _support(A)
     if not (math.isfinite(p) and p >= 1):
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    qtol = _quad_tol(tol)
     if alphabet not in _ALPHABETS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     n_free = len(A) - 1
     count = len(_ALPHABETS[alphabet]) ** n_free
     obj = _GridObjective(A, p)
-    if count * obj.K > budget:
-        raise CapacityError(
-            f"{count} patterns on a grid of {obj.K} exceeds budget {budget}")
+    if count * obj.K > BRUTE_FORCE_BUDGET:
+        raise CapacityError(f"{count} patterns on a grid of {obj.K} exceeds "
+                            f"budget {BRUTE_FORCE_BUDGET}")
     best, _ = _best_pattern(obj, _ALPHABETS[alphabet], n_free)
-    base = lp_norm(TrigPoly(A, np.ones(len(A))), p, tol=qtol).value
-    top = lp_norm(TrigPoly(A, best), p, tol=qtol).value
+    base = lp_norm(TrigPoly(A, np.ones(len(A))), p, tol=BRUTE_FORCE_TOL).value
+    top = lp_norm(TrigPoly(A, best), p, tol=BRUTE_FORCE_TOL).value
     return MajorantEstimate(value=top / base, argmax_coeffs=best, support=A,
-                            method="brute_force", trials=count, norm_tol=qtol)
+                            method="brute_force", trials=count,
+                            norm_tol=BRUTE_FORCE_TOL)
 
 
 # ---------------------------------------------------------------- envelope

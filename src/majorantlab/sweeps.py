@@ -100,10 +100,10 @@ def fit_loglog_slope(x, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     keep = np.isfinite(y) & (y > 0) & np.isfinite(x) & (x > 0)
-    if len(np.unique(x[keep])) < 2:
+    x, y = x[keep], y[keep]
+    if x.size == 0 or np.all(x == x[0]):
         return math.nan
-    lx, ly = np.log(x[keep]), np.log(y[keep])
-    return float(np.polyfit(lx, ly, 1)[0])
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def sweep(axis, task, points, key=lambda r: None, workers: int = 1):

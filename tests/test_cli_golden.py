@@ -71,6 +71,9 @@ CASES = {
               "--p-offset", "0.7", "--seed", "5", "--workers", "2"],
     "majorant": ["majorant", "--N-list", "256,512", "--budget", "40",
                  "--seed", "3"],
+    # the default budget: the restarts stop by their own rule, and the
+    # row at 2^10 is won by a phase restart
+    "majorant-stop": ["majorant", "--N-list", "1024,4096", "--seed", "7"],
     "thresholds": ["thresholds"],
 }
 

@@ -5,9 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from majorantlab import AdmissibilityError, CapacityError, RegVaryFn, SlowlyVaryingSpec
+from majorantlab import (AdmissibilityError, CapacityError, RegVaryFn,
+                         SlowlyVaryingSpec, majorant)
 from majorantlab.majorant import (
+    BRUTE_FORCE_TOL,
     DEFAULT_MAX_ITER,
+    DEFAULT_RESTARTS,
+    EXHAUSTIVE_SIGN_LIMIT,
     GRAD_STOP,
     MajorantProblem,
     brute_force_constant,
@@ -117,11 +121,11 @@ def test_c3_exceeds_one_and_matches_brute_force():
 
 def test_norm_tol_is_the_tolerance_the_quadratures_ran_at():
     # tol = 0 runs at lp_norm's floor 1e-12, and the estimate says so
-    prob = MajorantProblem(np.array([0, 1, 3]), 3, 3.0, seed=1)
-    for est in (estimate_constant(prob, tol=0.0),
-                brute_force_constant([0, 1, 3], 3.0, "signs", tol=0.0)):
-        assert est.norm_tol == 1e-12
-        assert est.value == 1.005987411441017
+    est = estimate_constant(MajorantProblem(np.array([0, 1, 3]), 3, 3.0,
+                                            seed=1), tol=0.0)
+    assert est.norm_tol == 1e-12
+    assert est.value == 1.005987411441017
+    assert brute_force_constant([0, 1, 3], 3.0).norm_tol == BRUTE_FORCE_TOL
 
 
 def test_all_ones_is_labelled_when_nothing_beats_it():
@@ -179,11 +183,12 @@ def test_bad_p_or_tol_is_rejected_before_the_search(monkeypatch, p, tol):
     # 2^17 sign patterns would take seconds to score before lp_norm
     # rejected the same input
     monkeypatch.setattr(np.fft, "ifft", _no_transform)
-    with pytest.raises(ValueError, match="p must be finite|tol must be"):
-        brute_force_constant(np.arange(18), p, "signs", tol=tol)
     if math.isfinite(p) and p >= 2:
         with pytest.raises(ValueError, match="tol must be"):
             estimate_constant(MajorantProblem(np.arange(18), 17, p), tol=tol)
+    else:
+        with pytest.raises(ValueError, match="p must be finite"):
+            brute_force_constant(np.arange(18), p, "signs")
 
 
 # ----------------------------------------------------------- brute force
@@ -221,6 +226,16 @@ def test_brute_force_capacity_error(monkeypatch):
     monkeypatch.setattr(np.fft, "ifft", _no_transform)
     with pytest.raises(CapacityError):
         brute_force_constant(np.arange(17), 3.0, "fourth_roots")
+
+
+def test_brute_force_reads_its_constants_at_call_time(monkeypatch):
+    # 4 sign patterns on a 256-point grid: within a budget of 1024 points
+    monkeypatch.setattr(majorant, "BRUTE_FORCE_TOL", 1e-7)
+    assert brute_force_constant([0, 1, 3], 3.0).norm_tol == 1e-7
+    monkeypatch.setattr(majorant, "BRUTE_FORCE_BUDGET", 4 * 256 - 1)
+    monkeypatch.setattr(np.fft, "ifft", _no_transform)
+    with pytest.raises(CapacityError, match="exceeds budget 1023"):
+        brute_force_constant([0, 1, 3], 3.0)
 
 
 def test_brute_force_rejects_unknown_alphabet():
@@ -457,6 +472,108 @@ def test_ascent_budget_caps_iterations(k):
     _, _, used = _phase_ascent(_GridObjective(A, 2.5), _start(0, len(A)),
                                DEFAULT_MAX_ITER, k)
     assert used <= k
+
+
+# ---------------------------------------------------------- restart stop
+
+
+def _xlogx(N):
+    h = RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
+    return build_frac_set(SetSpec("frac_plus", h, h, N)).members
+
+
+def _run_all(prob):
+    """(best F, value, method) of every default restart run to the budget,
+    as estimate_constant ran them before restarts could stop early; the
+    sets here are too large for the sign step, which only scores."""
+    A, p = prob.A, prob.p
+    assert len(A) - 1 > EXHAUSTIVE_SIGN_LIMIT
+    obj = _GridObjective(A, p)
+    used, best_F, best_theta = 1, -math.inf, None
+    for r in range(DEFAULT_RESTARTS):
+        if used >= prob.budget:
+            break
+        rng = np.random.default_rng(derive_seed(prob.seed, 1000 + r))
+        theta = (np.zeros(len(A)) if r == 0
+                 else rng.uniform(0.0, 2.0 * math.pi, size=len(A)))
+        theta[0] = 0.0
+        th, F, spent = _phase_ascent(obj, theta, DEFAULT_MAX_ITER,
+                                     prob.budget - used)
+        if F > best_F:
+            best_F, best_theta = F, th
+        used += spent
+    base = lp_norm(TrigPoly(A, np.ones(len(A))), p, tol=1e-9).value
+    ratio = lp_norm(TrigPoly(A, np.exp(1j * best_theta)), p,
+                    tol=1e-9).value / base
+    if ratio > 1.0:
+        return best_F, ratio, "phase_gradient"
+    return best_F, 1.0, "all_ones"
+
+
+def _estimate_recording(monkeypatch, prob, **kw):
+    """estimate_constant(prob) and the F of every restart it ran."""
+    ascent, finals = majorant._phase_ascent, []
+
+    def recorded(*args):
+        out = ascent(*args)
+        finals.append(out[1])
+        return out
+
+    monkeypatch.setattr(majorant, "_phase_ascent", recorded)
+    return estimate_constant(prob, **kw), finals
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+@pytest.mark.parametrize("N", [2**10, 2**11, 2**12, 2**13])
+def test_restart_stop_keeps_the_run_all_estimate(monkeypatch, N, seed):
+    prob = MajorantProblem(_xlogx(N), N, 2.5, seed=seed)
+    est, finals = _estimate_recording(monkeypatch, prob)
+    best_F, value, method = _run_all(prob)
+    assert len(finals) < DEFAULT_RESTARTS
+    assert max(finals) == pytest.approx(best_F, rel=1e-9, abs=0)
+    assert est.method == method
+    assert not est.budget_exhausted
+    if method == "all_ones":
+        assert est.value == value == 1.0
+    else:
+        # at 2^10 most restarts end on one optimum, within 1.3e-10 of one
+        # another on the surrogate; quadrature spreads their ratios by up
+        # to 2.2e-8, so which of them wins is settled by roundoff
+        assert N == 2**10
+        assert est.value == pytest.approx(value, rel=3e-8, abs=0)
+
+
+def test_trials_count_the_restarts_that_ran(monkeypatch):
+    est, finals = _estimate_recording(
+        monkeypatch, MajorantProblem(_xlogx(4096), 4096, 2.5, seed=0))
+    assert est.trials == 1 + len(finals) == 4
+    assert not est.budget_exhausted
+    # with the sign step: all-ones, 2^4 sign patterns, then the restarts
+    est, finals = _estimate_recording(
+        monkeypatch, MajorantProblem(np.array([0, 1, 3, 7, 12]), 12, 3.0))
+    assert est.trials == 1 + 2**4 + len(finals)
+
+
+@pytest.mark.parametrize("restarts", [0, 1, 2, 3, 4, DEFAULT_RESTARTS])
+def test_constant_objective_stops_after_three_restarts(monkeypatch, restarts):
+    # at p = 2 every restart ends where it starts, at F = |A|: restart 0
+    # sets the best and the next two fail to raise it; two or fewer
+    # restarts never stop early
+    prob = MajorantProblem(_xlogx(1024), 1024, 2.0, seed=3)
+    est, finals = _estimate_recording(monkeypatch, prob, restarts=restarts)
+    assert len(finals) == min(restarts, 3)
+    assert est.trials == 1 + len(finals)
+    assert est.method == "all_ones"
+    assert not est.budget_exhausted
+
+
+def test_budget_not_the_rule_flags_exhaustion(monkeypatch):
+    # a budget of 2 leaves one iteration after the all-ones candidate:
+    # restart 0 spends it and the budget ends the loop before the rule can
+    est, finals = _estimate_recording(
+        monkeypatch, MajorantProblem(_xlogx(1024), 1024, 2.0, budget=2))
+    assert len(finals) == 1
+    assert est.budget_exhausted
 
 
 # -------------------------------------------------------------- envelope

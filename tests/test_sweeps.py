@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import majorantlab
 from majorantlab.sweeps import (
     SweepResult,
     derive_seed,
@@ -63,6 +68,25 @@ def test_fit_slope_single_point_nan():
     assert math.isnan(fit_loglog_slope([10.0, 100.0], [0.0, 1.0]))
     # two points at one x leave no slope to fit
     assert math.isnan(fit_loglog_slope([1000, 1000], [0.5, 0.5]))
+
+
+def test_fit_slope_imports_nothing_more():
+    # numpy.ma, which np.unique imports on first use, costs tens of
+    # milliseconds; a fresh interpreter that fits one slope must not load it
+    env = dict(os.environ)
+    src = str(Path(majorantlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, majorantlab\n"
+            "from majorantlab.sweeps import fit_loglog_slope\n"
+            "print(fit_loglog_slope([10.0, 100.0, 100.0], [1.0, 2.0, 3.0]))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    slope, loaded = done.stdout.split()
+    assert math.isfinite(float(slope))
+    assert loaded == "False"
 
 
 def rows():
