@@ -4,13 +4,14 @@
 For even p the best unimodular coefficients do no better than all ones;
 at p = 3 a three-term set already beats 1.  Across growing sparse sets
 the estimated constants show no growth trend, the desk-scale face of
-uniform boundedness.
+uniform boundedness.  estimate_constant(A, p) and
+brute_force_constant(A, p) take the same two inputs: the frequency
+set and the exponent.
 """
 
 import numpy as np
 
 from majorantlab import (
-    MajorantProblem,
     RegVaryFn,
     SetSpec,
     SlowlyVaryingSpec,
@@ -28,7 +29,7 @@ def main():
     print(f"p = 3 on {{0, 1, 3}}: best sign ratio = {bf.value:.6f}")
     print(f"   achieved by coefficients {np.round(bf.argmax_coeffs).real.astype(int)}")
     for p in (2.0, 4.0):
-        est = estimate_constant(MajorantProblem(np.array(A), 3, p, seed=1))
+        est = estimate_constant(A, p, seed=1)
         print(f"p = {p}: estimate = {est.value:.8f} (even p gives exactly 1)")
     print()
 

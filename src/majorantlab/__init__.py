@@ -24,7 +24,6 @@ from .expsum import (
 )
 from .majorant import (
     MajorantEstimate,
-    MajorantProblem,
     brute_force_constant,
     estimate_constant,
     hy_envelope,
@@ -73,7 +72,7 @@ __all__ = [
     "even_p_oracle", "lower_bound_lowfreq", "measure_mu", "measure_nu",
     "fourier_of_measure", "extension_poly", "ttstar_apply",
     "restriction_ratio_max", "restriction_sweep",
-    "MajorantProblem", "MajorantEstimate", "p_threshold", "estimate_constant",
+    "MajorantEstimate", "p_threshold", "estimate_constant",
     "brute_force_constant", "hy_envelope", "uniformity_sweep",
     "SweepResult", "derive_seed", "fit_loglog_slope", "golden_xis",
 ]

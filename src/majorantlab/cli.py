@@ -31,7 +31,7 @@ from .majorant import DEFAULT_BUDGET, p_threshold, uniformity_sweep
 from .rvfunc import ELL_KINDS, InverseFn, PsiFn, RegVaryFn
 from .sparseset import SetSpec, build_frac_set, build_set, count_sweep, frac_scan
 from .sweeps import SweepResult, write_csv, write_jsonl, xi_grid
-from .trigpoly import GRID_CAP_DEFAULT, restriction_sweep
+from .trigpoly import GRID_CAP_DEFAULT, check_tol, restriction_sweep
 
 
 @dataclass
@@ -114,14 +114,21 @@ def _exp_count(cfg: ExperimentConfig):
     return count_sweep(build, cfg.N_list, cfg.seed, cfg.workers)
 
 
+def _frac_sets(cfg: ExperimentConfig, default_c2: float):
+    """(h1, h2, build): the families of cfg, h2's exponent defaulting to
+    default_c2 (1.1 for prop2, else 1), and build(N), the fractional-part
+    set of cfg.kind."""
+    h1, h2 = _family(cfg.h1), _family(cfg.h2, default_c=default_c2)
+    return h1, h2, lambda N: build_frac_set(
+        SetSpec(cfg.kind, h1, h2, N, psi_mode=cfg.psi_mode))
+
+
 def _exp_per_xi(cfg: ExperimentConfig):
     """expsum-decay and lemma2, the experiments of expsum.per_xi_sweep."""
-    h1, h2 = _family(cfg.h1), _family(cfg.h2)
+    _, _, build = _frac_sets(cfg, 1.0)
     xis = xi_grid(cfg.xi_rule, seed=cfg.seed)
-    return per_xi_sweep(
-        cfg.experiment, lambda N: build_frac_set(
-            SetSpec(cfg.kind, h1, h2, N, psi_mode=cfg.psi_mode)),
-        cfg.N_list, xis, cfg.seed, cfg.workers)
+    return per_xi_sweep(cfg.experiment, build, cfg.N_list, xis, cfg.seed,
+                        cfg.workers)
 
 
 def _exp_vdc(cfg: ExperimentConfig):
@@ -137,30 +144,23 @@ def _exp_vdc(cfg: ExperimentConfig):
 
 
 def _exp_prop2(cfg: ExperimentConfig):
-    h1, h2 = _family(cfg.h1), _family(cfg.h2, default_c=1.1)
+    h1, h2, build = _frac_sets(cfg, 1.1)
     p = p_threshold(h1.c, h2.c) + cfg.p_offset
     if not math.isfinite(p):
         raise ValueError(f"p-offset {cfg.p_offset} gives p = {p}")
     # below the scan's first index the set is empty
     levels = _levels_list(cfg.levels, frac_scan(h1, h2, cfg.psi_mode)[2])
-    return restriction_sweep(
-        lambda N: build_frac_set(SetSpec(cfg.kind, h1, h2, N,
-                                         psi_mode=cfg.psi_mode)),
-        p, levels, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol, cap=cfg.cap,
-        workers=cfg.workers)
+    return restriction_sweep(build, p, levels, trials=cfg.trials,
+                             seed=cfg.seed, tol=cfg.tol, cap=cfg.cap,
+                             workers=cfg.workers)
 
 
 def _exp_majorant(cfg: ExperimentConfig):
-    h1, h2 = _family(cfg.h1), _family(cfg.h2)
+    h1, h2, build = _frac_sets(cfg, 1.0)
     if h2.c > 1.0 and cfg.p < (floor := p_threshold(h1.c, h2.c)):
         raise AdmissibilityError(
             f"p = {cfg.p} below threshold {floor} for (c1, c2) = "
             f"({h1.c}, {h2.c})")
-
-    def build(N):
-        return build_frac_set(SetSpec(cfg.kind, h1, h2, N,
-                                      psi_mode=cfg.psi_mode))
-
     rows, estimates = uniformity_sweep(
         build, cfg.p, cfg.N_list, budget=cfg.budget, seed=cfg.seed,
         tol=cfg.tol, cap=cfg.cap, workers=cfg.workers)
@@ -388,6 +388,7 @@ def resolve_config(argv=None) -> ExperimentConfig:
         raise ValueError(f"--grid-cap (grid_cap) must be >= 1, got {cfg.grid_cap}")
     if cfg.workers < 1:
         raise ValueError(f"--workers (workers) must be >= 1, got {cfg.workers}")
+    check_tol(cfg.tol)
     return cfg
 
 

@@ -38,7 +38,7 @@ from .errors import AdmissibilityError, CapacityError
 from .sparseset import SparseSet
 from .sweeps import SweepResult, derive_seed, per_row, sweep
 from .trigpoly import (GRID_CAP_DEFAULT, TrigPoly, _grid_dft, _grid_length,
-                       lower_bound_lowfreq, lp_norm)
+                       check_tol, lower_bound_lowfreq, lp_norm)
 
 DEFAULT_RESTARTS = 16          # the most phase ascents per estimate
 STOP_AFTER_FAILS = 2           # restarts in a row that do not raise the best
@@ -54,19 +54,25 @@ BRUTE_FORCE_BUDGET = 1 << 31   # patterns times grid points
 BRUTE_FORCE_TOL = 1e-9
 
 
-def p_threshold(c1: float, c2: float) -> float:
-    """The admissible exponent 2 + (12 - 12/c2)/(1/c1 + 3/c2 - 3).
+def admissibility_margin(c1: float, c2: float) -> float:
+    """1/c1 + 3/c2 - 3: three times the excess of 1/(3 c1) + 1/c2 over 1,
+    positive iff the exponent pair (c1, c2) is admissible."""
+    return 1.0 / c1 + 3.0 / c2 - 3.0
 
-    Defined when 1 < 1/(3 c1) + 1/c2; equals 2 when c2 = 1 and grows as
-    c2 moves up, reaching 6 at (c1, c2) = (1, 6/5 - 0).
+
+def p_threshold(c1: float, c2: float) -> float:
+    """The admissible exponent 2 + (12 - 12/c2)/admissibility_margin.
+
+    Defined when the margin is positive; equals 2 when c2 = 1 and grows
+    as c2 moves up, reaching 6 at (c1, c2) = (1, 6/5 - 0).
     """
     if c1 <= 0 or c2 <= 0:
         raise AdmissibilityError("exponents must be positive")
-    if not 1.0 < 1.0 / (3.0 * c1) + 1.0 / c2:
+    margin = admissibility_margin(c1, c2)
+    if not margin > 0.0:
         raise AdmissibilityError(
             f"(c1, c2) = ({c1}, {c2}) violates 1 < 1/(3 c1) + 1/c2")
-    den = 1.0 / c1 + 3.0 / c2 - 3.0
-    return 2.0 + (12.0 - 12.0 / c2) / den
+    return 2.0 + (12.0 - 12.0 / c2) / margin
 
 
 def _support(A) -> np.ndarray:
@@ -78,25 +84,6 @@ def _support(A) -> np.ndarray:
     if A[0] < 0 or np.any(A[1:] <= A[:-1]):
         raise ValueError("A must be strictly increasing and nonnegative")
     return A
-
-
-@dataclass(frozen=True)
-class MajorantProblem:
-    A: np.ndarray
-    N: int
-    p: float
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-
-    def __post_init__(self):
-        A = _support(self.A)
-        object.__setattr__(self, "A", A)
-        if A[-1] > self.N:
-            raise ValueError("max(A) must not exceed N")
-        if not (math.isfinite(self.p) and self.p >= 2):
-            raise ValueError(f"p must be finite and >= 2, got {self.p}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
 
 
 @dataclass
@@ -117,13 +104,6 @@ class MajorantEstimate:
     trials: int
     norm_tol: float
     budget_exhausted: bool = False
-
-
-def _quad_tol(tol: float) -> float:
-    """tol raised to lp_norm's floor 1e-12, checked before any search."""
-    if not tol <= 1e-2:
-        raise ValueError(f"tol must be at most 1e-2, got {tol}")
-    return max(tol, 1e-12)
 
 
 # ----------------------------------------------------- discretized objective
@@ -281,11 +261,13 @@ def _best_pattern(obj: _GridObjective, letters, n_free: int):
     return best, count
 
 
-def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
+def estimate_constant(A, p: float, *, seed: int = 0,
+                      budget: int = DEFAULT_BUDGET, tol: float = 1e-9,
                       restarts: int = DEFAULT_RESTARTS,
                       max_iter: int = DEFAULT_MAX_ITER,
                       cap: int = GRID_CAP_DEFAULT) -> MajorantEstimate:
-    """Maximize ||sum a_n e(n.)||_p / ||sum e(n.)||_p over |a_n| = 1.
+    """Maximize ||sum a_n e(n.)||_p / ||sum e(n.)||_p over |a_n| = 1, the
+    frequencies n running over A (a SparseSet or integers).
 
     The all-ones choice is always a candidate, of ratio 1, so the result
     is never below 1.  Every sign pattern is scored when |A| - 1 <=
@@ -293,12 +275,18 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
     theta = 0 (at F(all-ones)), then restart r from angles drawn with
     derive_seed(seed, 1000 + r), until the budget (`budget_exhausted`) or
     STOP_AFTER_FAILS in a row ending at most RAISE_RTOL above the best F
-    end them; the best F wins, earlier restarts winning ties.  `cap` is
-    the grid cap of the quadratures that re-measure the finalists.
+    end them; the best F wins, earlier restarts winning ties.  `tol` and
+    `cap` are the tolerance and grid cap of the quadratures that
+    re-measure the finalists.  A, p, budget and tol are checked before
+    any transform runs.
     """
-    qtol = _quad_tol(tol)
-    A = prob.A
-    obj = _GridObjective(A, prob.p)
+    A = _support(A)
+    if not (math.isfinite(p) and p >= 2):
+        raise ValueError(f"p must be finite and >= 2, got {p}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_tol(tol)
+    obj = _GridObjective(A, p)
     ones = np.ones(len(A), dtype=np.complex128)
     finalists = []
     # the all-ones candidate counts as one trial and one unit of budget
@@ -312,14 +300,14 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
 
     best_F, best_theta, fails, exhausted = -math.inf, None, 0, False
     for r in range(restarts):
-        if fails == STOP_AFTER_FAILS or used >= prob.budget:
+        if fails == STOP_AFTER_FAILS or used >= budget:
             exhausted = fails < STOP_AFTER_FAILS
             break
-        rng = np.random.default_rng(derive_seed(prob.seed, 1000 + r))
+        rng = np.random.default_rng(derive_seed(seed, 1000 + r))
         theta = (np.zeros(len(A)) if r == 0
                  else rng.uniform(0.0, 2.0 * math.pi, size=len(A)))
         theta[0] = 0.0
-        th, F, spent = _phase_ascent(obj, theta, max_iter, prob.budget - used)
+        th, F, spent = _phase_ascent(obj, theta, max_iter, budget - used)
         fails = 0 if F > best_F * (1.0 + RAISE_RTOL) else fails + 1
         if F > best_F:
             best_F, best_theta = F, th
@@ -330,16 +318,15 @@ def estimate_constant(prob: MajorantProblem, tol: float = 1e-9,
 
     # the grid objective only ranks; re-measure the best candidate of each
     # search with the adaptive quadrature and let the true values decide
-    base = lp_norm(TrigPoly(A, ones), prob.p, tol=qtol, cap=cap).value
+    base = lp_norm(TrigPoly(A, ones), p, tol=tol, cap=cap).value
     value, best_method, best_coeffs = 1.0, "all_ones", ones
     for meth, coeffs in finalists:
-        ratio = lp_norm(TrigPoly(A, coeffs), prob.p,
-                        tol=qtol, cap=cap).value / base
+        ratio = lp_norm(TrigPoly(A, coeffs), p, tol=tol, cap=cap).value / base
         if ratio > value:
             value, best_method, best_coeffs = ratio, meth, coeffs
     return MajorantEstimate(value=value, argmax_coeffs=best_coeffs, support=A,
                             method=best_method, trials=trials,
-                            norm_tol=qtol, budget_exhausted=exhausted)
+                            norm_tol=tol, budget_exhausted=exhausted)
 
 
 # ------------------------------------------------------------- brute force
@@ -406,14 +393,14 @@ def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGE
     def task(N_i):
         N, i = N_i
         bset = build_set_fn(N)
-        prob = MajorantProblem(bset.members, N, p, budget=budget,
-                               seed=derive_seed(seed, i))
-        est = estimates[i] = estimate_constant(prob, tol=tol, cap=cap)
+        seed_i = derive_seed(seed, i)
+        est = estimates[i] = estimate_constant(
+            bset, p, seed=seed_i, budget=budget, tol=tol, cap=cap)
         env = hy_envelope(bset.members, N, p)
         return [SweepResult(
             experiment="majorant", quantity="majorant_lower_estimate",
             value=est.value, reference=env, ratio=est.value / env,
-            seed=prob.seed, borderline_count=bset.borderline_count,
+            seed=seed_i, borderline_count=bset.borderline_count,
             params={"N": N, "p": p, "set_size": len(bset),
                     "method": est.method, "trials": est.trials,
                     "budget_exhausted": est.budget_exhausted},

@@ -56,25 +56,6 @@ class SetSpec:
         if self.psi_mode not in PsiFn.MODES:
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
 
-    @property
-    def c1(self) -> float:
-        return self.h1.c
-
-    @property
-    def c2(self) -> float:
-        return self.h2.c
-
-    @property
-    def admissibility_margin(self) -> float:
-        """1 - 3(1 - 1/c2) - (1 - 1/c1); positive iff the exponent pair is
-        admissible for the quantitative theorems."""
-        return 1.0 - 3.0 * (1.0 - 1.0 / self.c2) - (1.0 - 1.0 / self.c1)
-
-    @property
-    def admissible(self) -> bool:
-        return (1.0 <= self.c1 < 2.0 and 1.0 <= self.c2 < 1.2
-                and self.admissibility_margin > 0.0)
-
     def kv_items(self):
         return [("kind", self.kind), ("psi_mode", self.psi_mode), ("N", str(self.N))]
 

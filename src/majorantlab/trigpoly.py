@@ -206,6 +206,12 @@ def _coset_walker(support: np.ndarray, M: int):
     return walk
 
 
+def check_tol(tol: float) -> None:
+    """The one rule for a quadrature tolerance: tol in [1e-12, 1e-2]."""
+    if not 1e-12 <= tol <= 1e-2:
+        raise ValueError(f"tol must lie in [1e-12, 1e-2], got {tol}")
+
+
 def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
             cap: int = GRID_CAP_DEFAULT) -> QuadratureResult:
     """(integral of |P|^p over the torus)^(1/p) by doubling rectangle rule.
@@ -219,8 +225,7 @@ def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
     when K exceeds p * degree."""
     if not (math.isfinite(p) and p >= 1):
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    if not 1e-12 <= tol <= 1e-2:
-        raise ValueError("tol must lie in [1e-12, 1e-2]")
+    check_tol(tol)
     if len(P.support) == 0:
         return QuadratureResult(0.0, 0, 0.0)
     M = _grid_length(P.degree)

@@ -34,7 +34,6 @@ from .expsum import (
     vdc_sum,
 )
 from .majorant import (
-    MajorantProblem,
     brute_force_constant,
     estimate_constant,
     p_threshold,
@@ -190,7 +189,7 @@ def check_measures_trivial():
 
 
 def check_p2_estimate_is_one():
-    est = estimate_constant(MajorantProblem(np.array([0, 1, 3]), 3, 2.0, seed=1))
+    est = estimate_constant([0, 1, 3], 2.0, seed=1)
     return abs(est.value - 1.0) <= 1e-9, f"value {est.value!r}"
 
 
@@ -303,22 +302,22 @@ def check_even_p_exactness(n_sets=5, Ns=(10**4,)):
         top = int(rng.integers(size + 1, 400))
         A = np.sort(rng.choice(top, size=size, replace=False))
         for p in (2.0, 4.0, 6.0):
-            prob = MajorantProblem(A, top, p, seed=int(rng.integers(2**32)))
-            worst = max(worst, estimate_constant(prob, restarts=4,
-                                                 max_iter=30).value)
+            est = estimate_constant(A, p, seed=int(rng.integers(2**32)),
+                                    restarts=4, max_iter=30)
+            worst = max(worst, est.value)
     for N in Ns:
         b = _xlogx_plus(N)
         for p in (2.0, 4.0, 6.0):
-            prob = MajorantProblem(b.members, N, p, budget=60, seed=7)
-            worst = max(worst, estimate_constant(prob, restarts=2,
-                                                 max_iter=15).value)
+            est = estimate_constant(b, p, seed=7, budget=60, restarts=2,
+                                    max_iter=15)
+            worst = max(worst, est.value)
     return worst <= 1 + 1e-6, f"max even-p estimate = {worst!r}"
 
 
 def check_c3_phenomenon():
     """Criterion 7: at p = 3 signs on {0, 1, 3} beat 1, as found by search."""
     bf = brute_force_constant([0, 1, 3], 3.0, "signs")
-    est = estimate_constant(MajorantProblem(np.array([0, 1, 3]), 3, 3.0, seed=1))
+    est = estimate_constant([0, 1, 3], 3.0, seed=1)
     gap = abs(est.value - bf.value)
     return bf.value >= 1.0005 and gap <= 1e-6, (
         f"brute force = {bf.value:.6f} on {{0,1,3}}, |estimate - bf| = {gap:.2e}")

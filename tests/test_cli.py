@@ -106,7 +106,7 @@ def test_majorant_sidecar_is_the_reported_estimate(tmp_path, monkeypatch,
     real = majorant_mod.estimate_constant
 
     def counting(*args, **kwargs):
-        calls.append(args[0].N)
+        calls.append(args[0].spec.N)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(majorant_mod, "estimate_constant", counting)
@@ -168,6 +168,16 @@ def test_count_row_and_set_out_header_agree(tmp_path):
     header = out_set.read_text().splitlines()[1]
     assert f"psi_mode={row['psi_mode']}" in header
     assert row["psi_mode"] == load_set(out_set).spec.psi_mode
+
+
+def test_out_of_range_tol_is_one_message_everywhere(tmp_path, capsys):
+    errs = []
+    for argv in (["prop2", "--levels", "10:10"],
+                 ["majorant", "--N-list", "256"]):
+        assert main(argv + ["--tol", "0", "--out", str(tmp_path)]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == (
+        "invalid parameters: tol must lie in [1e-12, 1e-2], got 0.0\n")
 
 
 def test_majorant_tol_reaches_the_estimates(tmp_path, monkeypatch):
@@ -354,6 +364,15 @@ def test_exit_code_convergence_failure_is_capacity(tmp_path, capsys):
     # a set kind without the window psi that the experiment needs
     ["expsum-decay", "--N-list", "1e3", "--kind", "floor_image"],
     ["lemma2", "--N-list", "1e3", "--kind", "floor_image"],
+    # a tolerance outside lp_norm's range [1e-12, 1e-2]
+    ["majorant", "--N-list", "256", "--tol", "0"],
+    ["majorant", "--N-list", "256", "--tol", "-1"],
+    ["count", "--N-list", "1e3", "--tol", "0.1"],
+    # an exponent pair whose admissibility margin rounds to 0 exactly
+    ["prop2", "--levels", "10:11", "--c1", "1.0875633486378165",
+     "--c2", "1.4419518271210225"],
+    ["majorant", "--p=3", "--N-list", "256", "--c1", "1.0875633486378165",
+     "--c2", "1.4419518271210225"],
 ])
 def test_exit_code_bad_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -25,6 +25,7 @@ from majorantlab.expsum import (
     weighted_inverse_vs_dirichlet,
 )
 from majorantlab.compensated import frac_product
+from majorantlab.majorant import admissibility_margin
 from majorantlab.trigpoly import fourier_of_measure, measure_mu
 from majorantlab.sparseset import (
     SetSpec,
@@ -361,7 +362,7 @@ def test_recipe_M_keeps_combined_error_small():
     phi = InverseFn(h)
     spec = SetSpec("frac_plus", h, h, 10**4)
     b = build_frac_set(spec)
-    delta = delta_from_margin(spec.admissibility_margin)
+    delta = delta_from_margin(admissibility_margin(h.c, h.c))
     M = truncation_M(b.spec.N, phi, delta)
     I1, I2, I3 = decompose_I(b, float(golden_xis(1)[0]), M=M)
     combined = abs(I1) + I2 + I3

@@ -9,11 +9,12 @@ from majorantlab import (AdmissibilityError, CapacityError, RegVaryFn,
                          SlowlyVaryingSpec, majorant)
 from majorantlab.majorant import (
     BRUTE_FORCE_TOL,
+    DEFAULT_BUDGET,
     DEFAULT_MAX_ITER,
     DEFAULT_RESTARTS,
     EXHAUSTIVE_SIGN_LIMIT,
     GRAD_STOP,
-    MajorantProblem,
+    admissibility_margin,
     brute_force_constant,
     estimate_constant,
     hy_envelope,
@@ -68,6 +69,35 @@ def test_threshold_rejects_inadmissible():
         p_threshold(1.0, -1.0)
 
 
+def test_admissibility_margin_sign():
+    # x log x with x^1.1 is admissible, x^1.5 with itself is not
+    assert admissibility_margin(1.0, 1.1) > 0
+    assert admissibility_margin(1.5, 1.5) < 0
+    with pytest.raises(AdmissibilityError):
+        p_threshold(1.5, 1.5)
+
+
+def test_threshold_edge_is_decided_by_the_margin():
+    # this pair passed 1 < 1/(3 c1) + 1/c2 while its margin rounds to 0
+    c1, c2 = 1.0875633486378165, 1.4419518271210225
+    assert admissibility_margin(c1, c2) == 0.0
+    with pytest.raises(AdmissibilityError):
+        p_threshold(c1, c2)
+    # c2 stepped ulp by ulp across the edge: a pair is rejected exactly
+    # when its margin is <= 0, and otherwise has a finite threshold > 2
+    for c1 in np.linspace(0.5, 3.0, 101):
+        c2 = 1.0 / (1.0 - 1.0 / (3.0 * c1))
+        for _ in range(8):
+            c2 = np.nextafter(c2, 0.0)
+        for _ in range(16):
+            c2 = float(np.nextafter(c2, np.inf))
+            if admissibility_margin(c1, c2) > 0.0:
+                assert 2.0 < p_threshold(c1, c2) < math.inf
+            else:
+                with pytest.raises(AdmissibilityError):
+                    p_threshold(c1, c2)
+
+
 def test_threshold_two_closed_forms_agree_symbolically():
     import sympy
 
@@ -95,7 +125,7 @@ def test_threshold_two_closed_forms_agree_numerically():
 
 
 def test_p2_gives_one():
-    est = estimate_constant(MajorantProblem(np.array([0, 1, 3]), 3, 2.0, seed=1))
+    est = estimate_constant([0, 1, 3], 2.0, seed=1)
     assert est.value == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.abs(np.abs(est.argmax_coeffs) - 1) < 1e-12)
 
@@ -105,14 +135,13 @@ def test_even_p_never_exceeds_one():
     for _ in range(6):
         A = random_set(r, 10, 60)
         for p in (4.0, 6.0):
-            est = estimate_constant(MajorantProblem(A, 60, p, seed=3))
+            est = estimate_constant(A, p, seed=3)
             assert est.value <= 1 + 1e-6
             assert est.value >= 1 - 1e-9
 
 
 def test_c3_exceeds_one_and_matches_brute_force():
-    prob = MajorantProblem(np.array([0, 1, 3]), 3, 3.0, seed=2)
-    est = estimate_constant(prob)
+    est = estimate_constant([0, 1, 3], 3.0, seed=2)
     bf = brute_force_constant([0, 1, 3], 3.0, "signs")
     assert bf.value > 1.0005
     assert est.value == pytest.approx(bf.value, abs=1e-6)
@@ -120,9 +149,11 @@ def test_c3_exceeds_one_and_matches_brute_force():
 
 
 def test_norm_tol_is_the_tolerance_the_quadratures_ran_at():
-    # tol = 0 runs at lp_norm's floor 1e-12, and the estimate says so
-    est = estimate_constant(MajorantProblem(np.array([0, 1, 3]), 3, 3.0,
-                                            seed=1), tol=0.0)
+    # tol = 0 lies below lp_norm's range and is rejected, not raised to
+    # its floor 1e-12, at which the estimate runs when asked for it
+    with pytest.raises(ValueError, match=r"tol must lie in \[1e-12, 1e-2\]"):
+        estimate_constant([0, 1, 3], 3.0, seed=1, tol=0.0)
+    est = estimate_constant([0, 1, 3], 3.0, seed=1, tol=1e-12)
     assert est.norm_tol == 1e-12
     assert est.value == 1.005987411441017
     assert brute_force_constant([0, 1, 3], 3.0).norm_tol == BRUTE_FORCE_TOL
@@ -134,7 +165,7 @@ def test_all_ones_is_labelled_when_nothing_beats_it():
     h = RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
     A = build_frac_set(SetSpec("frac_plus", h, h, 256)).members
     assert len(A) == 60
-    est = estimate_constant(MajorantProblem(A, 256, 3.0, seed=1), restarts=4)
+    est = estimate_constant(A, 3.0, seed=1, restarts=4)
     assert est.value == 1.0
     assert est.method == "all_ones"
     assert est.trials == 1 + 4
@@ -143,31 +174,27 @@ def test_all_ones_is_labelled_when_nothing_beats_it():
 
 def test_budget_exhaustion_flagged_not_fatal():
     A = np.sort(rng().choice(500, size=80, replace=False))
-    est = estimate_constant(MajorantProblem(A, 500, 3.0, budget=1, seed=0))
+    est = estimate_constant(A, 3.0, seed=0, budget=1)
     assert est.budget_exhausted
     assert est.value >= 1 - 1e-9
 
 
 def test_estimate_validates_inputs():
-    with pytest.raises(ValueError):
-        MajorantProblem(np.array([], dtype=np.int64), 5, 3.0)
-    with pytest.raises(ValueError):
-        MajorantProblem(np.array([10]), 5, 3.0)
-    with pytest.raises(ValueError):
-        MajorantProblem(np.array([1]), 5, 1.5)
-    for p in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="p must be finite"):
-            MajorantProblem(np.array([0, 1, 3]), 3, p)
+    with pytest.raises(ValueError, match="nonempty"):
+        estimate_constant(np.array([], dtype=np.int64), 3.0)
+    for p in (1.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="p must be finite and >= 2"):
+            estimate_constant([0, 1, 3], p)
     for budget in (0, -5):
         with pytest.raises(ValueError, match="budget"):
-            MajorantProblem(np.array([0, 1, 3]), 3, 3.0, budget=budget)
+            estimate_constant([0, 1, 3], 3.0, budget=budget)
 
 
 @pytest.mark.parametrize("A", [[300, 1], [0, 1, 1], [-1, 0, 3]],
                          ids=["unsorted", "repeated", "negative"])
 def test_support_must_be_increasing_and_nonnegative(A):
     with pytest.raises(ValueError, match="strictly increasing and nonnegative"):
-        MajorantProblem(np.array(A), 512, 2.5)
+        estimate_constant(A, 2.5)
     with pytest.raises(ValueError, match="strictly increasing and nonnegative"):
         brute_force_constant(A, 3.0, "signs")
 
@@ -178,15 +205,18 @@ def _no_transform(*args, **kw):
 
 @pytest.mark.parametrize("p, tol", [(math.nan, 1e-9), (math.inf, 1e-9),
                                     (0.5, 1e-9), (3.0, math.nan),
-                                    (3.0, 0.1), (3.0, math.inf)])
+                                    (3.0, 0.1), (3.0, math.inf),
+                                    (3.0, 0.0), (3.0, -1.0)])
 def test_bad_p_or_tol_is_rejected_before_the_search(monkeypatch, p, tol):
     # 2^17 sign patterns would take seconds to score before lp_norm
     # rejected the same input
     monkeypatch.setattr(np.fft, "ifft", _no_transform)
     if math.isfinite(p) and p >= 2:
-        with pytest.raises(ValueError, match="tol must be"):
-            estimate_constant(MajorantProblem(np.arange(18), 17, p), tol=tol)
+        with pytest.raises(ValueError, match="tol must lie"):
+            estimate_constant(np.arange(18), p, tol=tol)
     else:
+        with pytest.raises(ValueError, match="p must be finite"):
+            estimate_constant(np.arange(18), p, tol=tol)
         with pytest.raises(ValueError, match="p must be finite"):
             brute_force_constant(np.arange(18), p, "signs")
 
@@ -250,7 +280,7 @@ def test_estimate_dominates_sign_brute_force():
     r = rng()
     for _ in range(3):
         A = random_set(r, 9, 40)
-        est = estimate_constant(MajorantProblem(A, 40, 3.0, seed=4))
+        est = estimate_constant(A, 3.0, seed=4)
         bf = brute_force_constant(A, 3.0, "signs")
         assert est.value >= bf.value - 1e-9
 
@@ -259,7 +289,7 @@ def test_phase_ascent_dominates_fourth_roots():
     r = rng()
     for trial in range(3):
         A = random_set(r, 8, 40)
-        est = estimate_constant(MajorantProblem(A, 40, 3.0, seed=5 + trial))
+        est = estimate_constant(A, 3.0, seed=5 + trial)
         bf = brute_force_constant(A, 3.0, "fourth_roots")
         assert est.value >= bf.value - 1e-6
 
@@ -272,8 +302,7 @@ def test_sign_search_memory_is_bounded_in_the_grid_length():
                                               replace=False)), [4096]])
     tracemalloc.start()
     try:
-        est = estimate_constant(MajorantProblem(A, 4096, 3.0, seed=1),
-                                restarts=1, max_iter=5)
+        est = estimate_constant(A, 3.0, seed=1, restarts=1, max_iter=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -482,23 +511,23 @@ def _xlogx(N):
     return build_frac_set(SetSpec("frac_plus", h, h, N)).members
 
 
-def _run_all(prob):
-    """(best F, value, method) of every default restart run to the budget,
-    as estimate_constant ran them before restarts could stop early; the
-    sets here are too large for the sign step, which only scores."""
-    A, p = prob.A, prob.p
+def _run_all(A, p, seed):
+    """(best F, value, method) of every default restart run to the default
+    budget, as estimate_constant ran them before restarts could stop
+    early; the sets here are too large for the sign step, which only
+    scores."""
     assert len(A) - 1 > EXHAUSTIVE_SIGN_LIMIT
     obj = _GridObjective(A, p)
     used, best_F, best_theta = 1, -math.inf, None
     for r in range(DEFAULT_RESTARTS):
-        if used >= prob.budget:
+        if used >= DEFAULT_BUDGET:
             break
-        rng = np.random.default_rng(derive_seed(prob.seed, 1000 + r))
+        rng = np.random.default_rng(derive_seed(seed, 1000 + r))
         theta = (np.zeros(len(A)) if r == 0
                  else rng.uniform(0.0, 2.0 * math.pi, size=len(A)))
         theta[0] = 0.0
         th, F, spent = _phase_ascent(obj, theta, DEFAULT_MAX_ITER,
-                                     prob.budget - used)
+                                     DEFAULT_BUDGET - used)
         if F > best_F:
             best_F, best_theta = F, th
         used += spent
@@ -510,8 +539,8 @@ def _run_all(prob):
     return best_F, 1.0, "all_ones"
 
 
-def _estimate_recording(monkeypatch, prob, **kw):
-    """estimate_constant(prob) and the F of every restart it ran."""
+def _estimate_recording(monkeypatch, A, p, **kw):
+    """estimate_constant(A, p, **kw) and the F of every restart it ran."""
     ascent, finals = majorant._phase_ascent, []
 
     def recorded(*args):
@@ -520,15 +549,15 @@ def _estimate_recording(monkeypatch, prob, **kw):
         return out
 
     monkeypatch.setattr(majorant, "_phase_ascent", recorded)
-    return estimate_constant(prob, **kw), finals
+    return estimate_constant(A, p, **kw), finals
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 @pytest.mark.parametrize("N", [2**10, 2**11, 2**12, 2**13])
 def test_restart_stop_keeps_the_run_all_estimate(monkeypatch, N, seed):
-    prob = MajorantProblem(_xlogx(N), N, 2.5, seed=seed)
-    est, finals = _estimate_recording(monkeypatch, prob)
-    best_F, value, method = _run_all(prob)
+    A = _xlogx(N)
+    est, finals = _estimate_recording(monkeypatch, A, 2.5, seed=seed)
+    best_F, value, method = _run_all(A, 2.5, seed)
     assert len(finals) < DEFAULT_RESTARTS
     assert max(finals) == pytest.approx(best_F, rel=1e-9, abs=0)
     assert est.method == method
@@ -545,12 +574,12 @@ def test_restart_stop_keeps_the_run_all_estimate(monkeypatch, N, seed):
 
 def test_trials_count_the_restarts_that_ran(monkeypatch):
     est, finals = _estimate_recording(
-        monkeypatch, MajorantProblem(_xlogx(4096), 4096, 2.5, seed=0))
+        monkeypatch, _xlogx(4096), 2.5, seed=0)
     assert est.trials == 1 + len(finals) == 4
     assert not est.budget_exhausted
     # with the sign step: all-ones, 2^4 sign patterns, then the restarts
     est, finals = _estimate_recording(
-        monkeypatch, MajorantProblem(np.array([0, 1, 3, 7, 12]), 12, 3.0))
+        monkeypatch, [0, 1, 3, 7, 12], 3.0)
     assert est.trials == 1 + 2**4 + len(finals)
 
 
@@ -559,8 +588,8 @@ def test_constant_objective_stops_after_three_restarts(monkeypatch, restarts):
     # at p = 2 every restart ends where it starts, at F = |A|: restart 0
     # sets the best and the next two fail to raise it; two or fewer
     # restarts never stop early
-    prob = MajorantProblem(_xlogx(1024), 1024, 2.0, seed=3)
-    est, finals = _estimate_recording(monkeypatch, prob, restarts=restarts)
+    est, finals = _estimate_recording(monkeypatch, _xlogx(1024), 2.0, seed=3,
+                                      restarts=restarts)
     assert len(finals) == min(restarts, 3)
     assert est.trials == 1 + len(finals)
     assert est.method == "all_ones"
@@ -571,7 +600,7 @@ def test_budget_not_the_rule_flags_exhaustion(monkeypatch):
     # a budget of 2 leaves one iteration after the all-ones candidate:
     # restart 0 spends it and the budget ends the loop before the rule can
     est, finals = _estimate_recording(
-        monkeypatch, MajorantProblem(_xlogx(1024), 1024, 2.0, budget=2))
+        monkeypatch, _xlogx(1024), 2.0, budget=2)
     assert len(finals) == 1
     assert est.budget_exhausted
 
@@ -585,7 +614,7 @@ def test_estimates_stay_below_envelope():
         size = int(r.integers(3, 9))
         A = random_set(r, size, 40)
         N = int(max(A[-1], 1))
-        est = estimate_constant(MajorantProblem(A, N, 3.0, seed=6))
+        est = estimate_constant(A, 3.0, seed=6)
         assert est.value <= hy_envelope(A, N, 3.0)
 
 

@@ -256,18 +256,6 @@ def test_build_over_the_cap_raises_before_it_scans(build, monkeypatch):
         build()
 
 
-# ------------------------------------------------------ spec admissibility
-
-
-def test_admissibility_flags():
-    ell2 = SlowlyVaryingSpec("constant_one")
-    spec = SetSpec("frac_plus", xlogx(), RegVaryFn(1.1, ell2), 100)
-    assert spec.admissible
-    off = SetSpec("frac_plus", x15(), x15(), 100)
-    assert not off.admissible
-    assert off.admissibility_margin < 0
-
-
 # ----------------------------------------------------------------- io
 
 
