@@ -19,9 +19,9 @@ frequencies (vdc_ratio_sweep's matrix products do, in the last bits).
 
 Phase sums with arguments m*phi1(n) keep accuracy at large n by taking
 fractional parts on head/tail pairs; plain products xi*n are reduced
-mod 1 with an error-free transform.  Accumulation uses numpy's pairwise
-summation over fixed-size chunks, so results are deterministic and do
-not depend on any worker count.
+mod 1 with an error-free transform.  Accumulation is numpy's pairwise
+summation over chunks of rvfunc.CHUNK terms, which fixes the bits for any
+worker count; terms are filled rvfunc.BLOCK at a time, fixing no value.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .compensated import (
     wrap_unit,
 )
 from .errors import CapacityError
-from .rvfunc import CHUNK, InverseFn, PsiFn, index_chunks, pairs_and_window
+from .rvfunc import CHUNK, InverseFn, PsiFn, blocks, index_chunks, pairs_and_window
 from .sparseset import DEFAULT_CAP, SparseSet
 from .sweeps import SweepResult, per_row, sweep
 
@@ -59,8 +59,11 @@ def weighted_sums(chunks, xis) -> np.ndarray:
     xis = np.asarray(xis, dtype=np.float64)
     totals = np.zeros(len(xis), dtype=np.complex128)
     for n, w in chunks:
+        terms = np.empty(len(n), dtype=np.complex128)
         for k, xi in enumerate(xis):
-            totals[k] += np.sum(w * e1(frac_product(xi, n)))
+            for b in blocks(len(n)):
+                terms[b] = w[b] * e1(frac_product(xi, n[b]))
+            totals[k] += np.sum(terms)
     return totals
 
 
@@ -77,7 +80,7 @@ def _member_chunks(bset: SparseSet, xis: np.ndarray, weight: str):
         if weight == "unit":
             yield n, np.ones_like(n)
         else:
-            yield n, 1.0 / np.asarray(bset.psi(n), dtype=np.float64)
+            yield n, 1.0 / _filled(bset.psi, n)
 
 
 def exp_sum(bset: SparseSet, xis, weight: str = "unit") -> np.ndarray:
@@ -99,8 +102,16 @@ def model_sum(N: int, xis, weight: str = "unit",
         raise ValueError("psi weight needs the window object")
     if N < psi.n_min:
         raise ValueError("N below the window's n_min")
-    return weighted_sums(((n, np.asarray(psi(n), dtype=np.float64))
-                          for n in index_chunks(psi.n_min, N)), xis)
+    return weighted_sums(((n, _filled(psi, n))
+                          for n in index_chunks(psi.n_min, N, CHUNK)), xis)
+
+
+def _filled(f, n) -> np.ndarray:
+    """f(n) as float64, evaluated BLOCK indices at a time."""
+    out = np.empty(len(n))
+    for b in blocks(len(n)):
+        out[b] = f(n[b])
+    return out
 
 
 def _frac_and_parity(xi: float, k: float):
@@ -234,15 +245,17 @@ def vdc_sum(m: int, l: int, xi: float, X: float, X2: float,
     if l == 1 and psi is None:
         raise ValueError("l = 1 needs the window object")
     total = 0.0 + 0.0j
-    for n in index_chunks(math.ceil(X), math.floor(X2)):
-        if l:
-            head, tail, psv = pairs_and_window(n, phi1, psi)
-            f = wrap_unit(frac_int_times_pair(m, head, tail)
-                          - wrap_unit(m * psv % 1.0))
-        else:
-            f = frac_int_times_pair(m, *phi1.pair(n))
-        f = wrap_unit(f + frac_product(xi, n))
-        total += np.sum(e1(f))
+    for n in index_chunks(math.ceil(X), math.floor(X2), CHUNK):
+        terms = np.empty(len(n), dtype=np.complex128)
+        for b in blocks(len(n)):
+            if l:
+                head, tail, psv = pairs_and_window(n[b], phi1, psi)
+                f = wrap_unit(frac_int_times_pair(m, head, tail)
+                              - wrap_unit(m * psv % 1.0))
+            else:
+                f = frac_int_times_pair(m, *phi1.pair(n[b]))
+            terms[b] = e1(wrap_unit(f + frac_product(xi, n[b])))
+        total += np.sum(terms)
     return complex(total)
 
 
@@ -293,18 +306,21 @@ def _vdc_ratios(phi1, psi, m_max, xi_arr, levels, l_values):
     # lemma1_bound(m, N) = sqrt(m) lemma1_bound(1, N): one bound per level
     bounds = np.sqrt(np.arange(1, m_max + 1))[:, None] * np.array(
         [lemma1_bound(1, float(N), phi1) for N in levels])
-    for n in index_chunks(psi.n_min, levels[-1]):
+    for n in index_chunks(psi.n_min, levels[-1], CHUNK):
         a, b = int(n[0]), int(n[-1])
-        head, tail, psv = pairs_and_window(n, phi1, psi)
-        fphi = frac_pair(head, tail)
-        E = e1(frac_product(xi_arr[None, :], n[:, None]))
+        fphi, psv, u = np.empty(len(n)), np.empty(len(n)), np.empty(len(n), complex)
+        E = np.empty((len(n), len(xi_arr)), dtype=np.complex128)
+        for s in blocks(len(n)):
+            head, tail, psv[s] = pairs_and_window(n[s], phi1, psi)
+            fphi[s] = frac_pair(head, tail)
+            E[s] = e1(frac_product(xi_arr[None, :], n[s, None]))
         # accumulate into every level that contains this chunk entirely,
         # splitting chunks at level boundaries
         cuts = [iN for iN, N in enumerate(levels) if a <= N < b]
         seg_edges = [a - 1] + [levels[i] for i in cuts] + [b]
         for il, l in enumerate(l_values):
-            base = wrap_unit(fphi - l * psv % 1.0) if l else fphi
-            u = e1(base)
+            for s in blocks(len(n)):
+                u[s] = e1(wrap_unit(fphi[s] - l * psv[s] % 1.0) if l else fphi[s])
             cur = u.copy()
             for im in range(m_max):
                 for s0, s1 in zip(seg_edges[:-1], seg_edges[1:]):
@@ -362,19 +378,20 @@ def decompose_I(bset: SparseSet, xi: float, M: int, N: int | None = None):
     I1 = 0.0 + 0.0j
     I2 = 0.0
     I3 = 0.0
-    for n in index_chunks(bset.n_min, N):
-        head, tail, psv = pairs_and_window(n, bset.phi1, bset.psi)
-        fphi = frac_pair(head, tail)
-        with np.errstate(divide="ignore"):
-            d2 = nearest_int_distance(wrap_unit(fphi - psv))
-            I2 += float(np.sum(np.minimum(1.0, 1.0 / (M * d2))))
-            d3 = nearest_int_distance(fphi)
-            I3 += float(np.sum(np.minimum(1.0, 1.0 / (M * d3))))
-        Exi = e1(frac_product(xi, n))
-        z = e1(wrap_unit(-fphi))        # e(-2 pi i phi1(n))
-        w = e1(wrap_unit(psv % 1.0))    # e( 2 pi i psi(n))
-        zm = z.copy()
-        wm = w.copy()
+    for n in index_chunks(bset.n_min, N, CHUNK):
+        env2, env3 = np.empty(len(n)), np.empty(len(n))
+        Exi, z, w = (np.empty(len(n), dtype=np.complex128) for _ in range(3))
+        for b in blocks(len(n)):
+            head, tail, psv = pairs_and_window(n[b], bset.phi1, bset.psi)
+            fphi = frac_pair(head, tail)
+            env2[b] = sawtooth_envelope(wrap_unit(fphi - psv), M)
+            env3[b] = sawtooth_envelope(fphi, M)
+            Exi[b] = e1(frac_product(xi, n[b]))
+            z[b] = e1(wrap_unit(-fphi))        # e(-2 pi i phi1(n))
+            w[b] = e1(wrap_unit(psv % 1.0))    # e( 2 pi i psi(n))
+        I2 += float(np.sum(env2))
+        I3 += float(np.sum(env3))
+        zm, wm = z, w
         for m in range(1, M + 1):
             # m and -m terms combine into Im(.) by conjugate symmetry
             I1 += np.sum(Exi * np.imag(zm * (wm - 1.0))) / (math.pi * m)

@@ -22,8 +22,8 @@ residual correction yields head/tail value pairs accurate enough to take
 fractional parts of phi(n) for n up to ~1e8.  The difference window
 psi(n) = phi(n+1) - phi(n) on a run of consecutive n takes one solve
 over the run and its successor, and `pairs_and_window` hands out phi1's
-pairs from that solve when psi is phi1's own window.  Scans over an
-index range walk `index_chunks`.
+pairs from that solve when psi is phi1's own window.  Index scans walk
+`index_chunks`: CHUNK runs fix the bits of sums, BLOCK runs bound memory.
 """
 
 from __future__ import annotations
@@ -362,17 +362,19 @@ class InverseFn:
         One extended-precision residual correction on top of the double
         Newton solve; the pair represents phi(y) with absolute error about
         1e-19 * y / h'(phi), small enough that fractional parts keep ~1e-11
-        accuracy even at y ~ 1e8.
+        accuracy even at y ~ 1e8.  Solved and corrected BLOCK points at once.
         """
         y, scalar = _as_array(y)
         self._check(y)
-        yc = np.maximum(y, self.y0)
-        head = self._newton(yc)
-        r = np.asarray(yc, dtype=np.longdouble) - self.source.value_longdouble(head)
-        tail = np.asarray(r, dtype=np.float64) / self.source._deriv_raw(head, 1)
+        yc = np.ravel(np.maximum(y, self.y0))
+        head, tail, h = np.empty_like(yc), np.empty_like(yc), self.source
+        for b in blocks(yc.size):
+            head[b] = self._newton(yc[b])
+            r = np.asarray(yc[b], dtype=np.longdouble) - h.value_longdouble(head[b])
+            tail[b] = np.asarray(r, dtype=np.float64) / h._deriv_raw(head[b], 1)
         if scalar:
-            return float(head), float(tail)
-        return head, tail
+            return float(head[0]), float(tail[0])
+        return head.reshape(y.shape), tail.reshape(y.shape)
 
     def deriv(self, y, order: int = 1):
         """phi', phi'' or phi''' via the inverse-function theorem."""
@@ -490,11 +492,18 @@ def pairs_and_window(n, phi1: InverseFn, psi):
     return head, tail, np.asarray(psi(n), dtype=np.float64)
 
 
-# length of every index scan's chunks; chunked sums' last bits depend on it
+# CHUNK runs fix the summation order of every np.sum and mat-vec, so its bits;
+# BLOCK runs of the elementwise passes bound the working set and fix no value
 CHUNK = 1 << 19
+BLOCK = 1 << 14
 
 
-def index_chunks(lo: int, hi: int):
-    """lo..hi in order, as float64 runs of CHUNK integers (the last shorter)."""
-    for a in range(lo, hi + 1, CHUNK):
-        yield np.arange(a, min(a + CHUNK, hi + 1), dtype=np.float64)
+def index_chunks(lo: int, hi: int, run: int):
+    """lo..hi in order, as float64 runs of `run` integers (the last shorter)."""
+    for a in range(lo, hi + 1, run):
+        yield np.arange(a, min(a + run, hi + 1), dtype=np.float64)
+
+
+def blocks(size: int):
+    """The slices of 0..size-1 in BLOCK runs, in order."""
+    return (slice(a, a + BLOCK) for a in range(0, size, BLOCK))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .compensated import frac_pair
 from .errors import CapacityError
-from .rvfunc import InverseFn, PsiFn, RegVaryFn, index_chunks, pairs_and_window
+from .rvfunc import BLOCK, InverseFn, PsiFn, RegVaryFn, index_chunks, pairs_and_window
 from .sweeps import SweepResult, per_row, sweep
 
 DEFAULT_GUARD = 1e-9
@@ -191,7 +191,7 @@ def build_floor_set(h: RegVaryFn, N: int) -> SparseSet:
     spec = SetSpec("floor_image", h, h, N)
     borderline = 0
     out = [np.empty(0, dtype=np.int64)]
-    for n in index_chunks(n_start, n_end):
+    for n in index_chunks(n_start, n_end, BLOCK):
         vals = h.value_longdouble(n)
         floors = np.floor(vals)
         fr = np.asarray(vals - floors, dtype=np.float64)
@@ -199,7 +199,7 @@ def build_floor_set(h: RegVaryFn, N: int) -> SparseSet:
                                            | (fr > 1 - DEFAULT_GUARD)))
         out.append(np.asarray(floors, dtype=np.int64))
     floors = np.concatenate(out)
-    # h increases on its domain and the chunks run in increasing n, so the
+    # h increases on its domain and the blocks run in increasing n, so the
     # floors are nondecreasing: equal floors are neighbours, and dropping
     # each repeat of its left neighbour deduplicates them in one pass
     keep = np.ones(len(floors), dtype=bool)
@@ -222,7 +222,7 @@ def frac_scan(h1: RegVaryFn, h2: RegVaryFn, psi_mode: str):
 
 
 def build_frac_set(spec: SetSpec) -> SparseSet:
-    """Scan [n_min, N] with member_frac; deterministic, chunked."""
+    """Scan [n_min, N] with member_frac, BLOCK indices at a time."""
     if spec.kind not in ("frac_plus", "frac_minus"):
         raise ValueError(f"kind {spec.kind} has no window psi; this needs "
                          "kind frac_plus or frac_minus")
@@ -234,7 +234,7 @@ def build_frac_set(spec: SetSpec) -> SparseSet:
             f"frac set scan of {N - n_min + 1} exceeds cap {DEFAULT_CAP}")
     members = [np.empty(0, dtype=np.int64)]
     borderline = 0
-    for n in index_chunks(n_min, N):
+    for n in index_chunks(n_min, N, BLOCK):
         head, tail, psv = pairs_and_window(n, phi1, psi)
         margin = psv - frac_pair(head, tail, sign=sign)
         borderline += int(np.count_nonzero(np.abs(margin) < DEFAULT_GUARD))

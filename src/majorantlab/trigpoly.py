@@ -240,8 +240,12 @@ def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
     while True:
         for vals in walk([P.coeffs], K, new_cosets):
             np.abs(vals, out=mags)
-            power += np.power(mags, p, out=mags)
+            with np.errstate(over="ignore"):
+                power += np.power(mags, p, out=mags)
         value = float((np.sum(power) / K) ** (1.0 / p))
+        # a nonzero P has fewer than M roots, so a zero sum is underflow
+        if not 0 < value < math.inf and np.any(P.coeffs):
+            raise ValueError(f"|P|^p leaves the double range at p = {p}")
         if even and K > p * P.degree:
             return QuadratureResult(value, K, 0.0)
         if prev is not None:

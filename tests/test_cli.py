@@ -2,6 +2,7 @@ import csv
 import json
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,20 @@ def test_exit_code_bad_input(tmp_path, capsys, argv):
         assert flag[2:] in err
     if "--p" in argv:
         assert "p must be finite" in err
+
+
+@pytest.mark.parametrize("levels", ["10:10", "10:11"])
+def test_p_past_the_double_range_exits_2(tmp_path, capsys, levels):
+    # (c1, c2) one ulp inside the admissibility edge: the margin is 8.9e-16
+    # and p = 4.14e15, where |P|^p over- or underflows at every grid point
+    argv = ["prop2", "--c1", "1.0875633486378165", "--c2", "1.4419518271210222",
+            "--levels", levels, "--trials", "2", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # and numpy warns of nothing
+        assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "invalid parameters: |P|^p leaves the double range at "
+        "p = 4140999816710718.5\n")
 
 
 @pytest.mark.parametrize("experiment", ["prop2", "majorant"])

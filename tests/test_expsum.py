@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from majorantlab import (CapacityError, InverseFn, PsiFn, RegVaryFn,
-                         SlowlyVaryingSpec, expsum)
+                         SlowlyVaryingSpec, expsum, rvfunc)
 from majorantlab.expsum import (
     decompose_I,
     delta_from_margin,
@@ -203,6 +204,36 @@ def test_error_term_decays():
     assert fit_loglog_slope(Ns, rel) < 0
 
 
+@pytest.mark.parametrize("block", [1 << 6, rvfunc.CHUNK])
+def test_sums_do_not_depend_on_the_block(block, monkeypatch):
+    b = bset_xlogx(2 * 10**4)
+    xis = [0.0, 0.5, 0.3141]
+
+    def sums():
+        rows = vdc_ratio_sweep(b.phi1, b.psi, 3, xis, [2**10, 2**11, 2**12, 2**13])
+        return (error_term(b, xis), weighted_inverse_vs_dirichlet(b, xis),
+                [(r.value, r.ratio) for r in rows])
+
+    before = sums()
+    monkeypatch.setattr(rvfunc, "BLOCK", block)
+    err, dev, vdc = sums()
+    assert np.array_equal(err, before[0]) and np.array_equal(dev, before[1])
+    assert vdc == before[2]
+
+
+def test_error_term_memory_is_bounded_by_the_chunk():
+    # one chunk's indices, weights and terms, with the terms filled BLOCK
+    # at a time rather than through chunk-long temporaries
+    b = bset_xlogx(10**6)
+    tracemalloc.start()
+    try:
+        error_term(b, [0.0, 0.5, 0.3141])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_weighted_inverse_full_interval():
     b = full_interval_set(2048)
     assert weighted_inverse_vs_dirichlet(b, [0.5])[0] <= 1e-8
@@ -338,7 +369,7 @@ def test_decompose_over_the_work_budget_raises_before_it_scans(monkeypatch):
     monkeypatch.setattr(expsum, "DEFAULT_WORK_BUDGET", work)
     decompose_I(b, 0.25, M=4)
 
-    def no_scan(lo, hi):
+    def no_scan(lo, hi, run):
         raise AssertionError("scan started")
 
     monkeypatch.setattr(expsum, "DEFAULT_WORK_BUDGET", work - 1)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from majorantlab import DomainError, InverseFn, PsiFn, RegVaryFn, SlowlyVaryingSpec
-from majorantlab.rvfunc import CHUNK, index_chunks, pairs_and_window
+from majorantlab import rvfunc
+from majorantlab.rvfunc import BLOCK, CHUNK, index_chunks, pairs_and_window
 
 
 def xlogx():
@@ -382,10 +383,21 @@ def test_pairs_and_window_equals_separate_evaluation():
 
 
 def test_index_chunks_cover_the_range_in_fixed_runs():
-    parts = list(index_chunks(5, 2 * CHUNK + 7))
-    assert [p.size for p in parts] == [CHUNK, CHUNK, 3]
-    assert np.array_equal(np.concatenate(parts), np.arange(5.0, 2 * CHUNK + 8))
-    assert list(index_chunks(10, 9)) == []
+    for run in (CHUNK, BLOCK):
+        parts = list(index_chunks(5, 2 * run + 7, run))
+        assert [p.size for p in parts] == [run, run, 3]
+        assert np.array_equal(np.concatenate(parts), np.arange(5.0, 2 * run + 8))
+        assert list(index_chunks(10, 9, run)) == []
+
+
+@pytest.mark.parametrize("block", [1 << 6, CHUNK])
+def test_pair_does_not_depend_on_the_block(block, monkeypatch):
+    phi = InverseFn(xlogx())
+    y = np.arange(10.0, 10.0 + 3 * BLOCK + 17)
+    head, tail = phi.pair(y)
+    monkeypatch.setattr(rvfunc, "BLOCK", block)
+    head_b, tail_b = phi.pair(y)
+    assert np.array_equal(head, head_b) and np.array_equal(tail, tail_b)
 
 
 def _mp_h(h, x):

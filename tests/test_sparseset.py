@@ -1,11 +1,13 @@
 import csv
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from majorantlab import (CapacityError, InverseFn, PsiFn, RegVaryFn,
-                         SlowlyVaryingSpec, sparseset)
+                         SlowlyVaryingSpec, rvfunc, sparseset)
 from majorantlab.cli import main
 from majorantlab.sparseset import (
     SetSpec,
@@ -212,6 +214,47 @@ def test_borderline_fraction_small():
     assert s.borderline_fraction <= 1e-6
 
 
+def _builds():
+    h = xlogx()
+    sets = [build_frac_set(SetSpec(kind, h, h, 2 * 10**5))
+            for kind in ("frac_plus", "frac_minus")]
+    sets.append(build_floor_set(h, 2 * 10**5))
+    return [(s.members, s.borderline_count) for s in sets]
+
+
+@pytest.mark.parametrize("block", [1 << 6, rvfunc.CHUNK])
+def test_builds_do_not_depend_on_the_block(block, monkeypatch):
+    before = _builds()
+    for mod in (rvfunc, sparseset):
+        monkeypatch.setattr(mod, "BLOCK", block)
+    for (m, b), (m_blocked, b_blocked) in zip(before, _builds()):
+        assert np.array_equal(m, m_blocked) and b == b_blocked
+
+
+def test_frac_build_memory_is_bounded_by_the_block():
+    # the scan's working set is a few BLOCK-long arrays, not one per index
+    h = xlogx()
+    spec = SetSpec("frac_plus", h, h, 1 << 20)
+    tracemalloc.start()
+    try:
+        build_frac_set(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("kind,sha1", [
+    ("frac_plus", "6f102d172762d681ad68b6e1a814150065c1f627"),
+    ("frac_minus", "94052f3f2cf643857146bc84ee8334eaabecc14f"),
+], ids=["frac_plus", "frac_minus"])
+def test_xlogx_members_at_1e7_are_pinned(kind, sha1):
+    h = xlogx()
+    s = build_frac_set(SetSpec(kind, h, h, 10**7))
+    assert len(s) == 739_952 and s.borderline_count == 0
+    assert hashlib.sha1(s.members.tobytes()).hexdigest() == sha1
+
+
 # -------------------------------------------------------------- counting
 
 
@@ -247,7 +290,7 @@ def test_count_mixed_families(tmp_path):
     lambda: build_frac_set(SetSpec("frac_plus", xlogx(), xlogx(), 10**4)),
 ], ids=["floor_image", "frac_plus"])
 def test_build_over_the_cap_raises_before_it_scans(build, monkeypatch):
-    def no_scan(lo, hi):
+    def no_scan(lo, hi, run):
         raise AssertionError("scan started")
 
     monkeypatch.setattr(sparseset, "DEFAULT_CAP", 100)
