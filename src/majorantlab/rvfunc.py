@@ -362,13 +362,16 @@ class InverseFn:
         One extended-precision residual correction on top of the double
         Newton solve; the pair represents phi(y) with absolute error about
         1e-19 * y / h'(phi), small enough that fractional parts keep ~1e-11
-        accuracy even at y ~ 1e8.  Solved and corrected BLOCK points at once.
+        accuracy even at y ~ 1e8.  Solved and corrected BLOCK points at once,
+        the last block taking one point more, so that a BLOCK run and its
+        successor (`_pairs_and_steps`) are one solve.
         """
         y, scalar = _as_array(y)
         self._check(y)
         yc = np.ravel(np.maximum(y, self.y0))
         head, tail, h = np.empty_like(yc), np.empty_like(yc), self.source
-        for b in blocks(yc.size):
+        ends = [*range(BLOCK, yc.size - 1, BLOCK), yc.size]
+        for b in map(slice, [0, *ends[:-1]], ends):
             head[b] = self._newton(yc[b])
             r = np.asarray(yc[b], dtype=np.longdouble) - h.value_longdouble(head[b])
             tail[b] = np.asarray(r, dtype=np.float64) / h._deriv_raw(head[b], 1)

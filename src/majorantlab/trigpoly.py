@@ -1,12 +1,12 @@
 """Trigonometric polynomials on the torus and the discrete restriction pair.
 
 L^p norms are computed by uniform sampling (the periodic rectangle rule).
-Every sampled quantity (lp_norm, the test-function bounds and the sup of
-mu_N - nu_N) takes one transform length, M = `_grid_length(D)`, the
-smallest power of two above the degree D, and reads a grid of K points,
-a multiple of M, as K/M cosets of the grid of M points: the coset at
-offset r/K is one length-M inverse DFT of the coefficients turned by
-e(n r/K), and `_coset_walker` is the one loop that builds those turns.
+lp_norm and the test-function bounds take one transform length, M =
+`_grid_length(D)`, the smallest power of two above the degree D, and
+read a grid of K points, a multiple of M, as K/M cosets of the grid of M
+points: the coset at offset r/K is one length-M inverse DFT of the
+coefficients turned by e(n r/K), and `_coset_walker` is the one loop that
+builds those turns for coefficients on a sparse support.
 lp_norm's grid starts at K = 8 M and doubles until the value stabilizes;
 a doubling walks only its new odd cosets and adds them to the running sum
 of |P|^p, so every point is computed once.  A length-M DFT is one FFT of
@@ -14,6 +14,10 @@ length M below SPLIT_AT points; from SPLIT_AT on it is split into FFTs of
 lengths M1 and M2 = M/M1 on an (M1, M2) array, M1 about sqrt(M), which
 keep to the cache where one FFT of length M does not (`_grid_dft`; the
 phase ascent of `majorant` uses the same transform on K = max(256, 2 M)).
+The sup of mu_N - nu_N reads lp_norm's first grid for the degree N, but
+its dense real coefficients take a transform of length `_grid_length` of
+their span, walked on half the cosets as |P(-x)| = |P(x)|, and fill that
+one buffer BLOCK frequencies at a time (`fourier_sup_of_difference`).
 For even p the rule is exact as soon as the grid exceeds p*D points, since
 |P|^p is itself a trigonometric polynomial of degree p*D; the even-p route
 through iterated coefficient convolution is kept as an independent oracle.
@@ -55,7 +59,7 @@ import numpy as np
 from .compensated import frac_product
 from .errors import CapacityError, ConvergenceError
 from .expsum import weighted_sums
-from .rvfunc import CHUNK
+from .rvfunc import BLOCK, CHUNK
 from .sparseset import SparseSet
 from .sweeps import SweepResult, derive_seed, per_row, sweep
 
@@ -135,6 +139,36 @@ def _grid_length(degree: int) -> int:
     return 1 << int(degree).bit_length()
 
 
+def _dft_buffer(M: int):
+    """(buf, twiddle) of a length-M grid DFT (`_grid_dft`).  buf is an
+    (M1, M2) array holding frequency n at [n mod M1, n div M1]: M1 = M and
+    M2 = 1 below SPLIT_AT, else M1 = 2^floor(log2(M)/2) and M2 = M/M1.
+    twiddle[n1, j2] = e(n1 j2/M) (None below SPLIT_AT) is built row by
+    row into its own array, so no temporary of its size is made."""
+    if M < SPLIT_AT:
+        return np.empty((M, 1), dtype=np.complex128), None
+    M1 = 1 << (M.bit_length() - 1) // 2
+    M2 = M // M1
+    twiddle = np.empty((M1, M2), dtype=np.complex128)
+    j2 = np.arange(M2)
+    for n1, row in enumerate(twiddle):
+        np.exp((2j * np.pi / M) * (n1 * j2), out=row)
+    return np.empty((M1, M2), dtype=np.complex128), twiddle
+
+
+def _dft_values(buf: np.ndarray, twiddle) -> np.ndarray:
+    """The grid values of the coefficients laid out in `buf`
+    (`_dft_buffer`), computed in place; returns buf as a flat array in
+    grid order, grid point j at [j div M2, j mod M2]."""
+    flat = buf.reshape(-1)
+    if twiddle is None:
+        return np.fft.ifft(flat, norm="forward", out=flat)
+    np.fft.ifft(buf, axis=1, norm="forward", out=buf)
+    np.multiply(buf, twiddle, out=buf)
+    np.fft.ifft(buf, axis=0, norm="forward", out=buf)
+    return flat
+
+
 def _grid_dft(support: np.ndarray, M: int):
     """The length-M inverse DFT between coefficients on `support` (every n
     below M) and the grid j/M, j < M, as two functions over one buffer:
@@ -147,33 +181,20 @@ def _grid_dft(support: np.ndarray, M: int):
         array of length M, is transformed in place.
 
     Below SPLIT_AT each is one in-place FFT of length M.  From SPLIT_AT on
-    the grid is an (M1, M2) array, M1 = 2^floor(log2(M)/2) and M2 = M/M1:
-    frequency n sits at [n mod M1, n div M1] and grid point j at
-    [j div M2, j mod M2].  `values` runs FFTs of length M2 along axis 1,
-    multiplies by the twiddles e(n1 j2/M) and runs FFTs of length M1 along
-    axis 0; `at_support` runs the same steps in reverse order.  Every FFT
-    is np.fft.ifft with norm="forward", i.e. unscaled."""
-    if M < SPLIT_AT:
-        buf = np.empty(M, dtype=np.complex128)
-        at, twiddle = support, None
-    else:
-        M1 = 1 << (M.bit_length() - 1) // 2
-        M2 = M // M1
-        buf = np.empty((M1, M2), dtype=np.complex128)
-        at = (support % M1) * M2 + support // M1
-        twiddle = np.exp((2j * np.pi / M)
-                         * np.outer(np.arange(M1), np.arange(M2)))
+    the grid is an (M1, M2) array (`_dft_buffer`).  `values` runs FFTs of
+    length M2 along axis 1, multiplies by the twiddles e(n1 j2/M) and runs
+    FFTs of length M1 along axis 0 (`_dft_values`); `at_support` runs the
+    same steps in reverse order.  Every FFT is np.fft.ifft with
+    norm="forward", i.e. unscaled."""
+    buf, twiddle = _dft_buffer(M)
+    M1, M2 = buf.shape
     flat = buf.reshape(M)
+    at = support if twiddle is None else (support % M1) * M2 + support // M1
 
     def values(coeffs) -> np.ndarray:
         flat.fill(0.0)
         flat[at] = coeffs
-        if twiddle is None:
-            return np.fft.ifft(flat, norm="forward", out=flat)
-        np.fft.ifft(buf, axis=1, norm="forward", out=buf)
-        np.multiply(buf, twiddle, out=buf)
-        np.fft.ifft(buf, axis=0, norm="forward", out=buf)
-        return flat
+        return _dft_values(buf, twiddle)
 
     def at_support(grid: np.ndarray) -> np.ndarray:
         if twiddle is None:
@@ -376,43 +397,73 @@ def fourier_of_measure(m: DiscreteMeasure, xis) -> np.ndarray:
          for a in range(0, len(m.atoms), CHUNK)), xis)
 
 
-def _first_grid_max(support: np.ndarray, coeff_rows, cosets: int = 8,
-                    k: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+def _first_grid_max(support: np.ndarray, coeff_rows, cosets: int,
+                    k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(top, sums, K) for P = sum of row * e(n xi) over the support, one
     per row of `coeff_rows`, on the grid xi = j/K of K = cosets * M points,
-    M = _grid_length(support[-1]): top[i] is the max of |P| for row i and,
-    with k >= 1, sums[i] the sum of |P|^(2k) over the grid (0 for k = 0).
-    At the default 8 cosets the grid is lp_norm's first one.  It is walked
+    M = _grid_length(support[-1]): top[i] is the max of |P| for row i and
+    sums[i] the sum of |P|^(2k) over the grid, k >= 1.  The grid is walked
     by `_coset_walker`, coset by coset, so each turn e(n r/K) is built once
     and applied to every row."""
     M = _grid_length(int(support[-1]))
     K = cosets * M
     top, sums = np.zeros(len(coeff_rows)), np.zeros(len(coeff_rows))
+    mags = np.empty(M)
     walk = _coset_walker(support, M)
     for t, vals in enumerate(walk(coeff_rows, K, range(cosets))):
         i = t % len(coeff_rows)
-        mags = np.abs(vals)
+        np.abs(vals, out=mags)
         top[i] = max(top[i], float(np.max(mags)))
-        if k:
-            # |P|^(2k) as (|P|^2)^k; a float exponent keeps k = 2 a square
-            np.square(mags, out=mags)
-            sums[i] += np.sum(np.power(mags, float(k), out=mags))
-        # freed before the walk builds the next row's product row * turn,
-        # so the two never coexist: for the dense support 0..N of
-        # fourier_sup_of_difference each takes 8 M bytes
-        del mags
+        # |P|^(2k) as (|P|^2)^k; a float exponent keeps k = 2 a square
+        np.square(mags, out=mags)
+        sums[i] += np.sum(np.power(mags, float(k), out=mags))
     return top, sums, K
 
 
 def fourier_sup_of_difference(mu: DiscreteMeasure, N: int) -> tuple[float, int]:
-    """max of |F(mu - nu_N)| on lp_norm's first grid, and that grid's size
-    (`_first_grid_max`).  nu_N is taken as given: the coefficients start
-    at -1/N on 1..N, then mu's masses (atoms in [0, N]) are added."""
-    coeff = np.zeros(N + 1, dtype=np.complex128)
-    coeff[1:] = -1.0 / N
-    np.add.at(coeff, mu.atoms, mu.masses)
-    sup, _, K = _first_grid_max(np.arange(N + 1), [coeff])
-    return float(sup[0]), K
+    """max of |F(mu - nu_N)| on lp_norm's first grid for the degree N, of
+    K = 8 _grid_length(N) points, and K.  nu_N is taken as given: the
+    coefficients are -1/N on 1..N, plus mu's masses (atoms in [0, N]).
+
+    The coefficients are real and start at s = min(1, first atom), so the
+    transform takes the frequencies n - s (|P| does not change under
+    modulation), of length M = _grid_length(N - s): N for N = 2^L.  As
+    |P(-x)| = |P(x)|, the cosets r and K/M - r of the grid hold the same
+    moduli, and only r = 0..K/(2M) are walked.  Each coset's buffer is
+    filled BLOCK frequencies at a time (coefficient times turn
+    e((n - s) r/K), the turn factored as e(a r/K) e((n - s - a) r/K) for
+    the block starting at a), so nothing of the support's length is
+    kept."""
+    if len(mu.atoms) and not 0 <= mu.atoms[0] <= mu.atoms[-1] <= N:
+        raise ValueError(f"the atoms of mu must lie in [0, {N}]")
+    s = 0 if len(mu.atoms) and mu.atoms[0] == 0 else 1
+    K, M = 8 * _grid_length(N), _grid_length(N - s)
+    buf, twiddle = _dft_buffer(M)
+    M1 = buf.shape[0]
+    L = min(BLOCK, M)
+    k = np.arange(L, dtype=np.float64)
+    coeff = np.empty(L)
+    step = np.empty(L, dtype=np.complex128)
+    turned = np.empty_like(step)
+    sup = 0.0
+    for r in range(K // (2 * M) + 1):
+        # every turn e(m r/K), m < M, has m r < K/2: no reduction mod K
+        np.exp(np.multiply(k, 2j * np.pi * r / K, out=step), out=step)
+        for a in range(0, M, L):
+            # the frequencies n = s + a .. s + a + L - 1
+            coeff.fill(0.0)
+            coeff[max(1 - s - a, 0):max(N + 1 - s - a, 0)] = -1.0 / N
+            i, j = np.searchsorted(mu.atoms, (s + a, s + a + L))
+            coeff[mu.atoms[i:j] - (s + a)] += mu.masses[i:j]
+            np.multiply(step, np.exp(2j * np.pi * a * r / K), out=turned)
+            turned *= coeff
+            # frequency a + q M1 + n1 sits at [n1, a/M1 + q]
+            buf[:, a // M1:(a + L) // M1] = turned.reshape(-1, M1).T
+        vals = _dft_values(buf, twiddle)
+        # the filled buffer frees coeff, which takes |vals| block by block
+        for b in range(0, M, L):
+            sup = max(sup, float(np.max(np.abs(vals[b:b + L], out=coeff))))
+    return sup, K
 
 
 def _lp_norm_bounds(support: np.ndarray, coeff_rows: np.ndarray,
@@ -488,27 +539,28 @@ def restriction_ratio_max(mu: DiscreteMeasure, N: int, p: float,
     if len(mu.atoms) == 0:
         raise ValueError(f"the set is empty at N = {N}: no ratio is defined")
 
-    def ratio(f, den):
-        P = extension_poly(f, mu)
+    def ratio(P, den):
         return lp_norm(P, p, tol=tol, cap=cap).value * N ** (1.0 / p) / den
 
     # all-ones first: its lp_norm also checks p and tol
     ones = np.ones(len(mu.atoms), dtype=np.complex128)
-    best = ratio(ones, l2_norm_weighted(ones, mu))
-    fs = []
-    for t in range(1, trials):
+    best = ratio(extension_poly(ones, mu), l2_norm_weighted(ones, mu))
+    # row t - 1 holds the coefficients f * masses of the t-th f
+    rows = np.empty((trials - 1, len(mu.atoms)), dtype=np.complex128)
+    dens = np.empty(trials - 1)
+    for t, row in enumerate(rows, 1):
         rng = np.random.default_rng(derive_seed(derive_seed(seed, N), t))
-        fs.append((rng.standard_normal(len(mu.atoms))
-                   + 1j * rng.standard_normal(len(mu.atoms))) / math.sqrt(2.0))
-    dens = [l2_norm_weighted(f, mu) for f in fs]
-    bounds = np.full(len(fs), np.inf)
-    if p >= 2 and fs:
-        rows = np.array([f * mu.masses for f in fs])
+        f = (rng.standard_normal(len(mu.atoms))
+             + 1j * rng.standard_normal(len(mu.atoms))) / math.sqrt(2.0)
+        dens[t - 1] = l2_norm_weighted(f, mu)
+        np.multiply(f, mu.masses, out=row)
+    bounds = np.full(trials - 1, np.inf)
+    if p >= 2 and trials > 1:
         norms = _lp_norm_bounds(mu.atoms, rows, p)
-        bounds = norms * N ** (1.0 / p) / np.array(dens) * (1.0 + 10.0 * tol)
-    for f, den, bound in zip(fs, dens, bounds):
+        bounds = norms * N ** (1.0 / p) / dens * (1.0 + 10.0 * tol)
+    for row, den, bound in zip(rows, dens, bounds):
         if bound >= best:
-            best = max(best, ratio(f, den))
+            best = max(best, ratio(TrigPoly(mu.atoms, row), den))
     return best
 
 

@@ -400,6 +400,31 @@ def test_pair_does_not_depend_on_the_block(block, monkeypatch):
     assert np.array_equal(head, head_b) and np.array_equal(tail, tail_b)
 
 
+def test_a_block_run_and_its_successor_are_one_solve(monkeypatch):
+    # the run's pairs and steps come from one _newton call of BLOCK + 1
+    # points, bit for bit the run and its successor solved apart
+    phi = InverseFn(xlogx())
+    n = np.arange(1e5, 1e5 + BLOCK)
+    head, tail = phi.pair(n)
+    next_head, next_tail = phi.pair(n[-1] + 1.0)
+    calls = []
+    newton = InverseFn._newton
+
+    def counting(inv, y):
+        calls.append(np.size(y))
+        return newton(inv, y)
+
+    monkeypatch.setattr(InverseFn, "_newton", counting)
+    h0, t0, steps = rvfunc._pairs_and_steps(phi, n)
+    assert calls == [BLOCK + 1]
+    assert np.array_equal(h0, head) and np.array_equal(t0, tail)
+    h1, t1 = np.append(head[1:], next_head), np.append(tail[1:], next_tail)
+    assert np.array_equal(steps, (h1 - h0) + (t1 - t0))
+    calls.clear()
+    phi.pair(np.arange(1e5, 1e5 + 2 * BLOCK + 1))
+    assert calls == [BLOCK, BLOCK + 1]
+
+
 def _mp_h(h, x):
     """h(x) in mpmath at the working precision."""
     ell = h.ell

@@ -205,6 +205,30 @@ def test_grid_dft_equals_direct_sums(M):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("M", [SPLIT_AT, 4 * SPLIT_AT, 1 << 17])
+def test_grid_dft_twiddle_is_the_outer_product_formula(M):
+    # the twiddle built row by row in place: values and at_support are bit
+    # for bit those of the full-size np.outer formula
+    r = np.random.default_rng(89)
+    support = np.sort(r.choice(M, size=50, replace=False))
+    coeffs = r.standard_normal(50) + 1j * r.standard_normal(50)
+    grid = r.standard_normal(M) + 1j * r.standard_normal(M)
+    M1 = 1 << (M.bit_length() - 1) // 2
+    M2 = M // M1
+    twiddle = np.exp((2j * np.pi / M) * np.outer(np.arange(M1), np.arange(M2)))
+    at = (support % M1) * M2 + support // M1
+    want = np.zeros((M1, M2), dtype=np.complex128)
+    want.reshape(M)[at] = coeffs
+    want = np.fft.ifft(np.fft.ifft(want, axis=1, norm="forward") * twiddle,
+                       axis=0, norm="forward").reshape(M)
+    want_at = np.fft.ifft(np.fft.ifft(grid.reshape(M1, M2), axis=0,
+                                      norm="forward") * twiddle,
+                          axis=1, norm="forward").reshape(M)[at]
+    values, at_support = _grid_dft(support, M)
+    assert np.array_equal(values(coeffs), want)
+    assert np.array_equal(at_support(grid.copy()), want_at)
+
+
 @pytest.mark.parametrize("p", [2.5, 4.2])
 def test_lp_norm_split_transform_matches_one_fft(monkeypatch, p):
     # a polynomial whose cosets have M >= SPLIT_AT points, once through
@@ -416,33 +440,65 @@ def test_mu_minus_nu_sup_matches_one_full_grid():
                                 rel=1e-13)
 
 
+def traced_peak_mib(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def test_restriction_quantities_keep_to_one_grid_of_memory():
-    # N = 2^16: the mu - nu sup walks the dense support 0..N on grids of
-    # M = 2^17 points; the walk frees each coset's |P| before it builds the
-    # next turned row, so no second array of M points is alive at a time
+    # N = 2^16: the mu - nu sup keeps one buffer of M = 2^16 points, its
+    # twiddle and BLOCK-sized fill arrays; the ratio keeps its bounds
+    # matrix and one quadrature's buffer, twiddle, |P| and power sum
     N = 2**16
     mu = measure_mu(bset_prop2(N))
-    peaks = []
-    for run in (lambda: fourier_sup_of_difference(mu, N),
-                lambda: restriction_ratio_max(mu, N, 4.2, 16, 7)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= 10.0 and peaks[1] <= 5.5
+    # numpy imports numpy.random on first use, about 0.7 MiB of module
+    # objects that are no part of the ratio's working set
+    np.random.default_rng(0)
+    assert traced_peak_mib(lambda: fourier_sup_of_difference(mu, N)) <= 3.5
+    assert traced_peak_mib(lambda: restriction_ratio_max(mu, N, 4.2, 16, 7)) <= 4.5
 
 
-def test_mu_minus_nu_sup_equals_the_two_measure_sum_bit_for_bit():
-    # nu_N taken as given: -1/N + m is the same float as m + (-1/N)
-    for N in (2**9, 2**12):
-        mu, nu = measure_mu(bset_xlogx(N)), measure_nu(N)
-        coeff = np.zeros(N + 1, dtype=np.complex128)
-        np.add.at(coeff, mu.atoms, mu.masses)
-        np.add.at(coeff, nu.atoms, -nu.masses)
-        top, _, K = _first_grid_max(np.arange(N + 1), [coeff])
-        assert fourier_sup_of_difference(mu, N) == (float(top[0]), K)
+def test_mu_minus_nu_sup_keeps_to_one_half_length_buffer_at_2_18():
+    # the transform length is N, not 2 N: 4 MiB of buffer, 4 MiB of
+    # twiddle and BLOCK-sized fill arrays
+    N = 2**18
+    mu = measure_mu(bset_prop2(N))
+    assert traced_peak_mib(lambda: fourier_sup_of_difference(mu, N)) <= 12.0
+
+
+def two_measure_sup(mu, N):
+    """The sup on lp_norm's first grid from the dense coefficients 0..N of
+    mu - nu_N, both measures added in, all 8 cosets walked."""
+    nu = measure_nu(N)
+    coeff = np.zeros(N + 1, dtype=np.complex128)
+    np.add.at(coeff, mu.atoms, mu.masses)
+    np.add.at(coeff, nu.atoms, -nu.masses)
+    top, _, K = _first_grid_max(np.arange(N + 1), [coeff], 8, 1)
+    return float(top[0]), K
+
+
+def test_mu_minus_nu_sup_equals_the_two_measure_sum():
+    # the shifted half-length transform on half the cosets: the same grid,
+    # the value up to rounding; the last case has atoms at 0 and N (s = 0)
+    cases = [(measure_mu(bset_xlogx(N)), N) for N in (2**9, 2**12, 3000)]
+    atoms = np.array([0, 5, 17, 300, 1000, 1024])
+    cases.append((DiscreteMeasure(atoms, np.linspace(0.1, 0.3, 6)), 1024))
+    for mu, N in cases:
+        sup, K = fourier_sup_of_difference(mu, N)
+        want, want_K = two_measure_sup(mu, N)
+        assert K == want_K
+        assert sup == pytest.approx(want, rel=1e-14)
+
+
+def test_mu_minus_nu_sup_rejects_atoms_outside_0_to_N():
+    for atoms in ([3, 1025], [-1, 3]):
+        mu = DiscreteMeasure(np.array(atoms), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="atoms"):
+            fourier_sup_of_difference(mu, 1024)
 
 
 # ------------------------------------------------------------- operators
@@ -572,7 +628,7 @@ def test_sup_bound_covers_a_peak_between_grid_points():
     D = 2047
     support = np.arange(D + 1)
     rows = np.exp(-2j * np.pi * support / (16 * _grid_length(D)))[None, :]
-    top, _, _ = _first_grid_max(support, rows)
+    top, _, _ = _first_grid_max(support, rows, 8, 1)
     assert top[0] < D + 1 <= _lp_norm_bounds(support, rows, math.inf)[0]
 
 
@@ -580,7 +636,7 @@ def test_first_grid_max_per_row_matches_one_full_grid():
     r = np.random.default_rng(88)
     support = np.sort(r.choice(3000, size=40, replace=False))
     rows = r.standard_normal((3, 40)) + 1j * r.standard_normal((3, 40))
-    top, _, K = _first_grid_max(support, rows)
+    top, _, K = _first_grid_max(support, rows, 8, 1)
     assert K == 8 * _grid_length(int(support[-1]))
     for row, got in zip(rows, top):
         full = TrigPoly(support, row).grid_values(K)
