@@ -8,8 +8,8 @@ output is identical for any worker count.  Randomness always flows from
 the single master seed through the published per-task derivation.
 
 Exit codes: 0 success, 2 invalid parameters (flags, config file or
-function parameters), 3 capacity/budget exceeded (a work cap, or a
-quadrature that cannot converge under the grid cap), 4 verify-suite
+function parameters), 3 capacity/budget exceeded (a work cap, memory,
+or a quadrature that cannot converge under the grid cap), 4 verify-suite
 failure.
 """
 
@@ -264,8 +264,9 @@ def run(cfg: ExperimentConfig) -> int:
         # OSError: an unwritable --out, --set-out or --coeffs-out
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, ConvergenceError) as exc:
-        print(f"capacity/budget exceeded: {exc}", file=sys.stderr)
+    except (CapacityError, ConvergenceError, MemoryError) as exc:
+        print(f"capacity/budget exceeded: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 3
     failed = any(r.experiment == "verify" and r.value == 0.0 for r in rows)
     return 4 if failed else 0

@@ -17,7 +17,7 @@ Search strategy (defaults follow the package-wide reproducibility
 conventions: a master seed, derived per-restart seeds, max reduction
 with earliest-restart tie-break):
 
-* all ones: the reference polynomial itself, ratio 1;
+* all ones: the reference polynomial itself, ratio 1, built and measured first;
 * sign patterns: all 2^(|A|-1) of them, the first pinned to +1, while
   |A| - 1 <= EXHAUSTIVE_SIGN_LIMIT = 12, max(1, 2^22 // K) per batch;
 * phases: up to 16 L-BFGS ascents on the grid objective (memory 8,
@@ -38,7 +38,7 @@ from .errors import AdmissibilityError, CapacityError
 from .sparseset import SparseSet
 from .sweeps import SweepResult, derive_seed, per_row, sweep
 from .trigpoly import (GRID_CAP_DEFAULT, TrigPoly, _grid_dft, _grid_length,
-                       check_tol, lower_bound_lowfreq, lp_norm)
+                       lower_bound_lowfreq, lp_norm)
 
 DEFAULT_RESTARTS = 16          # the most phase ascents per estimate
 STOP_AFTER_FAILS = 2           # restarts in a row that do not raise the best
@@ -75,15 +75,13 @@ def p_threshold(c1: float, c2: float) -> float:
     return 2.0 + (12.0 - 12.0 / c2) / margin
 
 
-def _support(A) -> np.ndarray:
-    """A (a SparseSet or integers) as an int64 array, checked to be a
-    nonempty, strictly increasing run of nonnegative frequencies."""
+def _all_ones(A) -> TrigPoly:
+    """The all-ones polynomial on A (a SparseSet or integers); building it
+    is the one check of A: nonempty, then TrigPoly's support rule."""
     A = A.members if isinstance(A, SparseSet) else np.asarray(A, dtype=np.int64)
     if len(A) == 0:
         raise ValueError("A must be nonempty")
-    if A[0] < 0 or np.any(A[1:] <= A[:-1]):
-        raise ValueError("A must be strictly increasing and nonnegative")
-    return A
+    return TrigPoly(A, np.ones(len(A), dtype=np.complex128))
 
 
 @dataclass
@@ -190,8 +188,8 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
     ascent scaled by F/|g|^2.  Armijo backtracking starts from the unit
     step; an accepted trial's coefficients, grid values, |P|^(p-2) and F
     feed the gradient, so a step accepted at once costs two transforms.  One
-    iteration = one accepted (or abandoned) step; the budget is counted
-    in iterations, matching the problem's budget semantics.
+    iteration = one accepted (or abandoned) step; budget_left counts
+    iterations, the unit of estimate_constant's `budget`.
     """
     F, g = obj.value_and_grad(theta)
     pairs = deque(maxlen=LBFGS_MEMORY)
@@ -199,7 +197,7 @@ def _phase_ascent(obj: _GridObjective, theta, max_iter, budget_left):
     for _ in range(max_iter):
         if used >= budget_left:
             break
-        gnorm = float(np.max(np.abs(g))) if len(g) else 0.0
+        gnorm = float(np.max(np.abs(g)))
         if gnorm < GRAD_STOP * max(F, 1e-300):
             break
         d = _two_loop(g, pairs) if pairs else g
@@ -270,24 +268,24 @@ def estimate_constant(A, p: float, *, seed: int = 0,
     frequencies n running over A (a SparseSet or integers).
 
     The all-ones choice is always a candidate, of ratio 1, so the result
-    is never below 1.  Every sign pattern is scored when |A| - 1 <=
+    is never below 1; building it checks A, and after p and budget its
+    quadrature checks tol, p's double range and the grid cap before any
+    search.  Every sign pattern is scored when |A| - 1 <=
     EXHAUSTIVE_SIGN_LIMIT.  Then up to `restarts` phase ascents run, from
     theta = 0 (at F(all-ones)), then restart r from angles drawn with
     derive_seed(seed, 1000 + r), until the budget (`budget_exhausted`) or
     STOP_AFTER_FAILS in a row ending at most RAISE_RTOL above the best F
     end them; the best F wins, earlier restarts winning ties.  `tol` and
-    `cap` are the tolerance and grid cap of the quadratures that
-    re-measure the finalists.  A, p, budget and tol are checked before
-    any transform runs.
+    `cap` are the tolerance and grid cap of every quadrature.
     """
-    A = _support(A)
+    ones = _all_ones(A)
+    A = ones.support
     if not (math.isfinite(p) and p >= 2):
         raise ValueError(f"p must be finite and >= 2, got {p}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    check_tol(tol)
+    base = lp_norm(ones, p, tol=tol, cap=cap).value
     obj = _GridObjective(A, p)
-    ones = np.ones(len(A), dtype=np.complex128)
     finalists = []
     # the all-ones candidate counts as one trial and one unit of budget
     used = trials = 1
@@ -318,8 +316,7 @@ def estimate_constant(A, p: float, *, seed: int = 0,
 
     # the grid objective only ranks; re-measure the best candidate of each
     # search with the adaptive quadrature and let the true values decide
-    base = lp_norm(TrigPoly(A, ones), p, tol=tol, cap=cap).value
-    value, best_method, best_coeffs = 1.0, "all_ones", ones
+    value, best_method, best_coeffs = 1.0, "all_ones", ones.coeffs
     for meth, coeffs in finalists:
         ratio = lp_norm(TrigPoly(A, coeffs), p, tol=tol, cap=cap).value / base
         if ratio > value:
@@ -336,10 +333,10 @@ def brute_force_constant(A, p: float, alphabet: str = "signs") -> MajorantEstima
     """Exhaustive maximization over the alphabet "signs" or "fourth_roots",
     the first coefficient pinned to 1 (the objective is invariant under one
     global unimodular factor) and the other len(A) - 1 run over it.
+    All-ones checks A when built and p when measured, before any pattern.
     """
-    A = _support(A)
-    if not (math.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and >= 1, got {p}")
+    ones = _all_ones(A)
+    A = ones.support
     if alphabet not in _ALPHABETS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     n_free = len(A) - 1
@@ -348,8 +345,8 @@ def brute_force_constant(A, p: float, alphabet: str = "signs") -> MajorantEstima
     if count * obj.K > BRUTE_FORCE_BUDGET:
         raise CapacityError(f"{count} patterns on a grid of {obj.K} exceeds "
                             f"budget {BRUTE_FORCE_BUDGET}")
+    base = lp_norm(ones, p, tol=BRUTE_FORCE_TOL).value
     best, _ = _best_pattern(obj, _ALPHABETS[alphabet], n_free)
-    base = lp_norm(TrigPoly(A, np.ones(len(A))), p, tol=BRUTE_FORCE_TOL).value
     top = lp_norm(TrigPoly(A, best), p, tol=BRUTE_FORCE_TOL).value
     return MajorantEstimate(value=top / base, argmax_coeffs=best, support=A,
                             method="brute_force", trials=count,
@@ -393,6 +390,9 @@ def uniformity_sweep(build_set_fn, p: float, N_list, budget: int = DEFAULT_BUDGE
     def task(N_i):
         N, i = N_i
         bset = build_set_fn(N)
+        if len(bset) == 0:
+            raise ValueError(
+                f"the set is empty at N = {N}: no constant is defined")
         seed_i = derive_seed(seed, i)
         est = estimates[i] = estimate_constant(
             bset, p, seed=seed_i, budget=budget, tol=tol, cap=cap)

@@ -226,7 +226,6 @@ def build_frac_set(spec: SetSpec) -> SparseSet:
     if spec.kind not in ("frac_plus", "frac_minus"):
         raise ValueError(f"kind {spec.kind} has no window psi; this needs "
                          "kind frac_plus or frac_minus")
-    sign = 1 if spec.kind == "frac_plus" else -1
     phi1, psi, n_min = frac_scan(spec.h1, spec.h2, spec.psi_mode)
     N = spec.N
     if N - n_min + 1 > DEFAULT_CAP:
@@ -235,10 +234,10 @@ def build_frac_set(spec: SetSpec) -> SparseSet:
     members = [np.empty(0, dtype=np.int64)]
     borderline = 0
     for n in index_chunks(n_min, N, BLOCK):
-        head, tail, psv = pairs_and_window(n, phi1, psi)
-        margin = psv - frac_pair(head, tail, sign=sign)
+        member, margin = member_frac(n, phi1, psi,
+                                     spec.kind.removeprefix("frac_"))
         borderline += int(np.count_nonzero(np.abs(margin) < DEFAULT_GUARD))
-        members.append(np.asarray(n[margin > 0], dtype=np.int64))
+        members.append(np.asarray(n[member], dtype=np.int64))
     return SparseSet(spec, np.concatenate(members), n_min=n_min,
                      borderline_count=borderline, phi1=phi1, psi=psi)
 

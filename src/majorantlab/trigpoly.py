@@ -86,10 +86,9 @@ class TrigPoly:
         if self.support.shape != self.coeffs.shape or self.support.ndim != 1:
             raise ValueError("support and coeffs must be matching 1-d arrays")
         if len(self.support):
-            if np.any(np.diff(self.support) <= 0):
-                raise ValueError("support must be strictly increasing")
-            if self.support[0] < 0:
-                raise ValueError("support must be nonnegative")
+            if self.support[0] < 0 or np.any(np.diff(self.support) <= 0):
+                raise ValueError(
+                    "support must be strictly increasing and nonnegative")
             if self.support[-1] > DEGREE_CAP:
                 raise CapacityError(f"degree {self.support[-1]} above cap {DEGREE_CAP}")
         if not np.all(np.isfinite(self.coeffs.view(np.float64))):

@@ -389,6 +389,54 @@ def test_exit_code_bad_input(tmp_path, capsys, argv):
         assert "p must be finite" in err
 
 
+def test_majorant_p_past_the_double_range_is_one_line(tmp_path, capsys):
+    # all-ones is measured before the search, so no ascent overflows
+    argv = ["majorant", "--N-list", "64", "--p", "700", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # and numpy warns of nothing
+        assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "invalid parameters: |P|^p leaves the double range at p = 700.0\n")
+
+
+def test_majorant_empty_set_names_N(tmp_path, capsys):
+    assert main(["majorant", "--N-list", "3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("invalid parameters: the set is empty "
+                                       "at N = 3: no constant is defined\n")
+
+
+def test_majorant_degree_above_the_cap_exits_3_before_the_search(
+        tmp_path, capsys, monkeypatch):
+    import majorantlab.majorant as majorant_mod
+    import majorantlab.trigpoly as trigpoly_mod
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("no search may run")
+
+    monkeypatch.setattr(trigpoly_mod, "DEGREE_CAP", 1000)
+    monkeypatch.setattr(majorant_mod, "_phase_ascent", no_search)
+    assert main(["majorant", "--N-list", "2000", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity/budget exceeded: degree ")
+    assert err.endswith(" above cap 1000\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 2.00 GiB"), "Unable to allocate 2.00 GiB"),
+])
+def test_memory_error_is_one_capacity_line(tmp_path, capsys, monkeypatch,
+                                           exc, line):
+    import majorantlab.cli as cli_mod
+
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "uniformity_sweep", out_of_memory)
+    assert main(["majorant", "--N-list", "256", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"capacity/budget exceeded: {line}\n"
+
+
 @pytest.mark.parametrize("levels", ["10:10", "10:11"])
 def test_p_past_the_double_range_exits_2(tmp_path, capsys, levels):
     # (c1, c2) one ulp inside the admissibility edge: the margin is 8.9e-16

@@ -1,12 +1,13 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from majorantlab import (AdmissibilityError, CapacityError, RegVaryFn,
-                         SlowlyVaryingSpec, majorant)
+                         SlowlyVaryingSpec, majorant, trigpoly)
 from majorantlab.majorant import (
     BRUTE_FORCE_TOL,
     DEFAULT_BUDGET,
@@ -219,6 +220,65 @@ def test_bad_p_or_tol_is_rejected_before_the_search(monkeypatch, p, tol):
             estimate_constant(np.arange(18), p, tol=tol)
         with pytest.raises(ValueError, match="p must be finite"):
             brute_force_constant(np.arange(18), p, "signs")
+
+
+def _no_search(*args, **kw):
+    raise AssertionError("no search may run")
+
+
+def test_degree_above_the_cap_is_rejected_before_any_grid(monkeypatch):
+    # building all-ones is the one check of A: a degree past DEGREE_CAP
+    # fails there, before the 2^25-point grid of the search is allocated
+    monkeypatch.setattr(np.fft, "ifft", _no_transform)
+    A = np.array([0, 1, trigpoly.DEGREE_CAP + 1])
+    for search in (estimate_constant, brute_force_constant):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="above cap"):
+                search(A, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_p_past_the_double_range_is_rejected_before_the_search(monkeypatch):
+    # the base norm is measured before the search, so the ascent never
+    # meets |P|^p overflowing and numpy warns of nothing
+    monkeypatch.setattr(majorant, "_phase_ascent", _no_search)
+    monkeypatch.setattr(majorant, "_best_pattern", _no_search)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="double range at p = 700.0"):
+            estimate_constant(np.arange(0, 64, 3), 700.0)
+
+
+def test_the_base_norm_is_measured_once_before_the_search(monkeypatch):
+    # all-ones first, then every search, then one quadrature per finalist
+    log = []
+
+    def logged(name, tag):
+        real = getattr(majorant, name)
+
+        def wrapped(*args, **kw):
+            log.append(tag(args[0]))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(majorant, name, wrapped)
+
+    logged("lp_norm", lambda P: "ones" if np.all(P.coeffs == 1) else "norm")
+    logged("_best_pattern", lambda obj: "search")
+    logged("_phase_ascent", lambda obj: "search")
+    A = random_set(rng(), 9, 40)
+    est = estimate_constant(A, 3.0, seed=4, restarts=3)
+    # one sign enumeration and the restarts: trials less the patterns
+    searches = est.trials - 2**(len(A) - 1)
+    assert log[:searches + 1] == ["ones"] + ["search"] * searches
+    assert len(log) == searches + 3 and "search" not in log[-2:]
+    log.clear()
+    bf = brute_force_constant(A, 3.0, "signs")
+    assert log == ["ones", "search", "norm"]
+    assert bf.value <= est.value + 1e-9
 
 
 # ----------------------------------------------------------- brute force

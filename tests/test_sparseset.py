@@ -208,6 +208,29 @@ def test_window_shared_by_value_equals_separate_solves(kind, monkeypatch):
         assert other.borderline_count == same.borderline_count
 
 
+@pytest.mark.parametrize("kind", ["frac_plus", "frac_minus"])
+def test_frac_build_takes_its_members_from_member_frac(kind, monkeypatch):
+    # one membership rule: the build keeps what member_frac admits, and
+    # counts as borderline the margins member_frac returns inside the guard
+    sign = kind.removeprefix("frac_")
+    signs = []
+    real = sparseset.member_frac
+
+    def recording(n, phi1, psi, sign):
+        signs.append(sign)
+        return real(n, phi1, psi, sign)
+
+    monkeypatch.setattr(sparseset, "member_frac", recording)
+    h = xlogx()
+    s = build_frac_set(SetSpec(kind, h, h, 5000))
+    assert signs and set(signs) == {sign}
+    n = np.arange(s.n_min, 5001)
+    member, margin = member_frac(n, s.phi1, s.psi, sign)
+    assert np.array_equal(s.members, n[member])
+    assert s.borderline_count == np.count_nonzero(
+        np.abs(margin) < sparseset.DEFAULT_GUARD)
+
+
 def test_borderline_fraction_small():
     h = xlogx()
     s = build_frac_set(SetSpec("frac_plus", h, h, 10**5))
