@@ -107,6 +107,13 @@ class MajorantEstimate:
 # ----------------------------------------------------- discretized objective
 
 
+def _objective_grid(degree: int) -> int:
+    """K, the grid of the surrogate objective for a polynomial of that
+    degree: 2x oversampling is plenty for ranking candidates, whose
+    winners are re-measured with the adaptive quadrature afterwards."""
+    return max(256, 2 * _grid_length(degree))
+
+
 class _GridObjective:
     """F(coeffs) = (1/K) sum_j |P(j/K)|^p on a fixed power-of-two grid.
 
@@ -130,9 +137,7 @@ class _GridObjective:
     def __init__(self, support: np.ndarray, p: float):
         self.support = np.asarray(support, dtype=np.int64)
         self.p = float(p)
-        # 2x oversampling is plenty for a ranking surrogate; winners
-        # are re-measured with the adaptive quadrature afterwards
-        self.K = K = max(256, 2 * _grid_length(int(self.support[-1])))
+        self.K = K = _objective_grid(int(self.support[-1]))
         self.values, self._at_support = _grid_dft(self.support, K)
         self._s = np.empty(K)
         self._w = np.empty(K)
@@ -341,10 +346,11 @@ def brute_force_constant(A, p: float, alphabet: str = "signs") -> MajorantEstima
         raise ValueError(f"unknown alphabet {alphabet!r}")
     n_free = len(A) - 1
     count = len(_ALPHABETS[alphabet]) ** n_free
-    obj = _GridObjective(A, p)
-    if count * obj.K > BRUTE_FORCE_BUDGET:
-        raise CapacityError(f"{count} patterns on a grid of {obj.K} exceeds "
+    K = _objective_grid(int(A[-1]))
+    if count * K > BRUTE_FORCE_BUDGET:
+        raise CapacityError(f"{count} patterns on a grid of {K} exceeds "
                             f"budget {BRUTE_FORCE_BUDGET}")
+    obj = _GridObjective(A, p)
     base = lp_norm(ones, p, tol=BRUTE_FORCE_TOL).value
     best, _ = _best_pattern(obj, _ALPHABETS[alphabet], n_free)
     top = lp_norm(TrigPoly(A, best), p, tol=BRUTE_FORCE_TOL).value

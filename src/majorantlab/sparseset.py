@@ -18,6 +18,15 @@ h2 equals h1), and the fractional part is taken on the pair.  Margins
 closer to zero than the guard band DEFAULT_GUARD = 1e-9 are counted as
 borderline and reported; the membership bit then follows the sign of
 the compensated margin.
+
+That extended-precision test (`member_frac`) is the rule at every
+index.  When h2 differs from h1 and psi is a difference window, the
+scan screens it: certified double-precision enclosures of phi1(n),
+phi2(n) and phi2(n + 1) (`rvfunc.InverseFn.enclose`) put the margin in
+an interval, which decides the bit of almost every index (`_screen`),
+and member_frac takes only the indices whose interval comes near 0,
+near the guard band, or whose fractional part comes near 0 or 1.  The
+members and the borderline count are those of member_frac everywhere.
 """
 
 from __future__ import annotations
@@ -221,8 +230,46 @@ def frac_scan(h1: RegVaryFn, h2: RegVaryFn, psi_mode: str):
     return phi1, psi, max(psi.n_min, math.ceil(phi1.y0 - 1e-9))
 
 
+def _screen(n, phi1: InverseFn, phi2: InverseFn, sign: str):
+    """(member, open) on a run n of consecutive indices: the members
+    that double-precision enclosures decide, and the mask of the indices
+    they leave open.
+
+    `InverseFn.enclose` gives phi1(n) in [lo1, hi1] and phi2 at n and its
+    successor, so psi(n) and {sign phi1(n)} lie in intervals (each
+    endpoint difference exact: phi2(n + 1) is within a factor 2 of
+    phi2(n), and a frac of a double below 2^52 is exact).  An index is
+    decided when the frac interval keeps off 0 and 1 and the margin
+    interval psi - frac keeps off [-DEFAULT_GUARD, DEFAULT_GUARD], both by
+    the slack: 2^-50 for roundings of the margin here and in
+    member_frac, plus 2^-58 of each phi for the error of `pair`, about
+    1e-19 y/h'(phi) <= 1e-19 phi (c + theta >= 1).  member_frac then
+    finds the same bit, with |margin| > DEFAULT_GUARD, so a decided index
+    is never borderline."""
+    lo1, hi1 = phi1.enclose(n)
+    lo2, hi2 = phi2.enclose(np.append(n, n[-1] + 1.0))
+    slack = 2.0 ** -50 + 2.0 ** -58 * (hi1 + hi2[:-1] + hi2[1:])
+    if sign == "minus":
+        lo1, hi1 = -hi1, -lo1
+    base = np.floor(lo1)
+    f_lo, f_hi = lo1 - base, hi1 - base
+    m_lo = (lo2[1:] - hi2[:-1]) - f_hi
+    m_hi = (hi2[1:] - lo2[:-1]) - f_lo
+    gap = DEFAULT_GUARD + slack
+    decided = ((f_lo > slack) & (f_hi < 1.0 - slack)
+               & ((m_lo > gap) | (m_hi < -gap)))
+    return decided & (m_lo > gap), ~decided
+
+
 def build_frac_set(spec: SetSpec) -> SparseSet:
-    """Scan [n_min, N] with member_frac, BLOCK indices at a time."""
+    """Scan [n_min, N] BLOCK indices at a time.
+
+    With h2 == h1 (psi phi1's own window) or psi in derivative mode every
+    index goes through member_frac.  With any other h2, `_screen` decides
+    almost every index in double precision, and member_frac, in extended
+    precision, takes the ones left open, from all blocks at once; the
+    members and the borderline count are those of member_frac on every
+    index."""
     if spec.kind not in ("frac_plus", "frac_minus"):
         raise ValueError(f"kind {spec.kind} has no window psi; this needs "
                          "kind frac_plus or frac_minus")
@@ -231,14 +278,26 @@ def build_frac_set(spec: SetSpec) -> SparseSet:
     if N - n_min + 1 > DEFAULT_CAP:
         raise CapacityError(
             f"frac set scan of {N - n_min + 1} exceeds cap {DEFAULT_CAP}")
-    members = [np.empty(0, dtype=np.int64)]
+    sign = spec.kind.removeprefix("frac_")
+    screened = psi.mode == "difference" and psi.phi2.source != phi1.source
+    members, left_open = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     borderline = 0
     for n in index_chunks(n_min, N, BLOCK):
-        member, margin = member_frac(n, phi1, psi,
-                                     spec.kind.removeprefix("frac_"))
-        borderline += int(np.count_nonzero(np.abs(margin) < DEFAULT_GUARD))
+        if screened:
+            member, undecided = _screen(n, phi1, psi.phi2, sign)
+            left_open.append(n[undecided])
+        else:
+            member, margin = member_frac(n, phi1, psi, sign)
+            borderline += int(np.count_nonzero(np.abs(margin) < DEFAULT_GUARD))
         members.append(np.asarray(n[member], dtype=np.int64))
-    return SparseSet(spec, np.concatenate(members), n_min=n_min,
+    members = np.concatenate(members)
+    n = np.concatenate(left_open)
+    if n.size:
+        member, margin = member_frac(n, phi1, psi, sign)
+        borderline = int(np.count_nonzero(np.abs(margin) < DEFAULT_GUARD))
+        members = np.sort(np.concatenate(
+            [members, np.asarray(n[member], dtype=np.int64)]))
+    return SparseSet(spec, members, n_min=n_min,
                      borderline_count=borderline, phi1=phi1, psi=psi)
 
 

@@ -9,14 +9,17 @@ coefficients turned by e(n r/K), and `_coset_walker` is the one loop that
 builds those turns for coefficients on a sparse support.
 lp_norm's grid starts at K = 8 M and doubles until the value stabilizes;
 a doubling walks only its new odd cosets and adds them to the running sum
-of |P|^p, so every point is computed once.  A length-M DFT is one FFT of
-length M below SPLIT_AT points; from SPLIT_AT on it is split into FFTs of
-lengths M1 and M2 = M/M1 on an (M1, M2) array, M1 about sqrt(M), which
-keep to the cache where one FFT of length M does not (`_grid_dft`; the
+of |P|^p, so every point is computed once.  Real coefficients give
+|P(-x)| = |P(x)|, which pairs coset r with K/M - r, and then only the
+cosets r <= K/(2M) are walked (`_coset_plan`).  A length-M DFT is one
+FFT of length M below SPLIT_AT points; from SPLIT_AT on it is split into
+FFTs of lengths M1 and M2 = M/M1 on an (M1, M2) array, M1 about
+sqrt(M), which keep to the cache where one FFT of length M does not
+(`_grid_dft`; the
 phase ascent of `majorant` uses the same transform on K = max(256, 2 M)).
 The sup of mu_N - nu_N reads lp_norm's first grid for the degree N, but
 its dense real coefficients take a transform of length `_grid_length` of
-their span, walked on half the cosets as |P(-x)| = |P(x)|, and fill that
+their span, walked on the same half of the cosets, and fill that
 one buffer BLOCK frequencies at a time (`fourier_sup_of_difference`).
 For even p the rule is exact as soon as the grid exceeds p*D points, since
 |P|^p is itself a trigonometric polynomial of degree p*D; the even-p route
@@ -226,6 +229,18 @@ def _coset_walker(support: np.ndarray, M: int):
     return walk
 
 
+def _coset_plan(cosets, n: int, real: bool):
+    """[(r, weight)] for a walk over `cosets` of a grid of n cosets (the
+    set closed under r -> n - r mod n when `real`).  A polynomial with
+    real coefficients has |P(-x)| = |P(x)|, and -(j/M + r/K) is a point
+    of coset n - r, so for it only r <= n/2 are walked: the self-paired
+    r = 0 and n/2 at weight 1, every other r at weight 2 for its pair.
+    Otherwise every coset, at weight 1."""
+    if not real:
+        return [(r, 1) for r in cosets]
+    return [(r, 1 if 2 * r % n == 0 else 2) for r in cosets if 2 * r <= n]
+
+
 def check_tol(tol: float) -> None:
     """The one rule for a quadrature tolerance: tol in [1e-12, 1e-2]."""
     if not 1e-12 <= tol <= 1e-2:
@@ -240,9 +255,13 @@ def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
     walked as K/M cosets (`_coset_walker`), one length-M inverse DFT each
     (one FFT below SPLIT_AT, two passes of shorter FFTs from it on); a
     doubling walks only its K/M new odd cosets and adds their |P|^p to the
-    running sum, so every grid point is computed once.  The rule stops on
-    the relative change between successive grids, or at once for even p
-    when K exceeds p * degree."""
+    running sum, so every grid point is computed once.  When no
+    coefficient has an imaginary part, |P(-x)| = |P(x)| and only the
+    cosets r <= K/(2M) of each walk are transformed, every r but 0 and
+    K/(2M) at weight 2 for its mirror K/M - r (`_coset_plan`): the same
+    grids and values up to the order of the sums, in a little over half
+    the transforms.  The rule stops on the relative change between
+    successive grids, or at once for even p when K exceeds p * degree."""
     if not (math.isfinite(p) and p >= 1):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     check_tol(tol)
@@ -251,17 +270,24 @@ def lp_norm(P: TrigPoly, p: float, tol: float = 1e-8,
     M = _grid_length(P.degree)
     K = 8 * M
     walk = _coset_walker(P.support, M)
+    real = not np.any(P.coeffs.imag)
     mags = np.empty(M)
-    # |P|^p at j/M + r/K summed over the cosets r sampled so far, per j
+    # |P|^p at j/M + r/K summed over the cosets r sampled so far, per j,
+    # a paired coset counted twice
     power = np.zeros(M)
     even = p == int(p) and int(p) % 2 == 0
     new_cosets = range(8)
     prev = None
     while True:
-        for vals in walk([P.coeffs], K, new_cosets):
+        plan = _coset_plan(new_cosets, K // M, real)
+        for (_, weight), vals in zip(plan, walk([P.coeffs], K,
+                                                [r for r, _ in plan])):
             np.abs(vals, out=mags)
             with np.errstate(over="ignore"):
-                power += np.power(mags, p, out=mags)
+                np.power(mags, p, out=mags)
+                if weight > 1:
+                    mags *= weight
+                power += mags
         value = float((np.sum(power) / K) ** (1.0 / p))
         # a nonzero P has fewer than M roots, so a zero sum is underflow
         if not 0 < value < math.inf and np.any(P.coeffs):
@@ -332,8 +358,9 @@ def lower_bound_lowfreq(A, p: float, N: int) -> float:
         moments.append(float(np.sum(power)) / math.factorial(k))
         power *= ratio
 
+    x, w = np.polynomial.legendre.leggauss(64)
+
     def integral(num_panels):
-        x, w = np.polynomial.legendre.leggauss(64)
         edges = np.linspace(-half, half, num_panels + 1)
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
@@ -428,8 +455,9 @@ def fourier_sup_of_difference(mu: DiscreteMeasure, N: int) -> tuple[float, int]:
     transform takes the frequencies n - s (|P| does not change under
     modulation), of length M = _grid_length(N - s): N for N = 2^L.  As
     |P(-x)| = |P(x)|, the cosets r and K/M - r of the grid hold the same
-    moduli, and only r = 0..K/(2M) are walked.  Each coset's buffer is
-    filled BLOCK frequencies at a time (coefficient times turn
+    moduli, and only r = 0..K/(2M) are walked (`_coset_plan`; a max
+    needs no weights).  Each coset's buffer is filled BLOCK frequencies
+    at a time (coefficient times turn
     e((n - s) r/K), the turn factored as e(a r/K) e((n - s - a) r/K) for
     the block starting at a), so nothing of the support's length is
     kept."""
@@ -445,7 +473,7 @@ def fourier_sup_of_difference(mu: DiscreteMeasure, N: int) -> tuple[float, int]:
     step = np.empty(L, dtype=np.complex128)
     turned = np.empty_like(step)
     sup = 0.0
-    for r in range(K // (2 * M) + 1):
+    for r, _ in _coset_plan(range(K // M), K // M, True):
         # every turn e(m r/K), m < M, has m r < K/2: no reduction mod K
         np.exp(np.multiply(k, 2j * np.pi * r / K, out=step), out=step)
         for a in range(0, M, L):

@@ -318,6 +318,21 @@ def test_brute_force_capacity_error(monkeypatch):
         brute_force_constant(np.arange(17), 3.0, "fourth_roots")
 
 
+def test_refused_brute_force_allocates_no_grid(monkeypatch):
+    # 4^16 patterns on the 2^22-point grid of degree 2^20 exceed the
+    # budget on the count alone, before the grid buffers (256 MiB) exist
+    monkeypatch.setattr(np.fft, "ifft", _no_transform)
+    A = np.append(np.arange(16), 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="on a grid of 4194304"):
+            brute_force_constant(A, 3.0, "fourth_roots")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_brute_force_reads_its_constants_at_call_time(monkeypatch):
     # 4 sign patterns on a 256-point grid: within a budget of 1024 points
     monkeypatch.setattr(majorant, "BRUTE_FORCE_TOL", 1e-7)
@@ -683,6 +698,17 @@ def test_envelope_full_interval_feasible():
     env = hy_envelope(np.arange(1, N + 1), N, 3.0)
     assert math.isfinite(env)
     assert env >= 1.0
+
+
+@pytest.mark.parametrize("N, envelope", [
+    (2048, "0x1.3749ded3dbe6fp+3"), (4096, "0x1.43296f12a939bp+3"),
+    (8192, "0x1.4eaf335ac7a00p+3")])
+def test_envelope_of_the_benchmark_sets_is_pinned(N, envelope):
+    # the majorant workload's x log x sets at p = 2.5, bit for bit as when
+    # the Gauss-Legendre nodes were computed once per panel count
+    h = RegVaryFn(1.0, SlowlyVaryingSpec("log_power", B=1.0))
+    A = build_frac_set(SetSpec("frac_plus", h, h, N)).members
+    assert hy_envelope(A, N, 2.5) == float.fromhex(envelope)
 
 
 def test_envelope_scaling_on_doubling_N():

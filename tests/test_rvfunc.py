@@ -455,3 +455,67 @@ def test_pair_matches_high_precision_root_every_kind(name, make):
             err = abs((mpmath.mpf(hd) + mpmath.mpf(tl)) - root)
             worst = max(worst, float(err / y))
     assert worst < 1e-18
+
+
+# ------------------------------------------------------ double enclosures
+
+ENCLOSED = FAMILIES + [
+    ("x11_log", lambda: RegVaryFn(1.1, SlowlyVaryingSpec("log_power", B=1.0))),
+    ("iterlog3", lambda: RegVaryFn(1.0, SlowlyVaryingSpec("iterated_log",
+                                                          m=3))),
+    ("exp_log_big", lambda: RegVaryFn(1.9, SlowlyVaryingSpec("exp_log_power",
+                                                             B=2.0, C=0.9))),
+]
+
+
+@pytest.mark.parametrize("name,make", ENCLOSED)
+def test_double_evaluation_of_h_keeps_to_the_rounding_allowance(name, make):
+    # enclose certifies h(lo) < y < h(hi) on h in double precision with a
+    # margin of H_ROUNDING relative; the error seen stays 256 times below
+    h = make()
+    x = np.exp(np.linspace(np.log(h.x0), np.log(1e12), 20001))
+    x = np.concatenate([x, h.x0 * (1.0 + np.arange(2000) / 1e4)])
+    ld = h.value_longdouble(x)
+    err = np.abs(np.asarray((h._deriv_raw(x, 0) - ld) / ld, dtype=np.float64))
+    assert err.max() < rvfunc.H_ROUNDING / 256
+
+
+@pytest.mark.parametrize("name,make", ENCLOSED)
+def test_enclose_brackets_the_pair_at_every_point(name, make):
+    # the first run from the domain start, where phi curves most, and two
+    # later ones: every point enclosed, about 2^-31 phi wide
+    phi = InverseFn(make())
+    for start in (math.ceil(phi.y0), 10**5, 10**7):
+        y = np.arange(start, start + BLOCK + 1, dtype=np.float64)
+        lo, hi = phi.enclose(y)
+        head, tail = phi.pair(y)
+        v = np.asarray(head, dtype=np.longdouble) + tail
+        assert np.all(lo < v) and np.all(v < hi), (name, start)
+        assert np.all(hi - lo <= 2.0**-30 * head), (name, start)
+
+
+@pytest.mark.parametrize("name,make", KINDS)
+def test_enclose_contains_the_high_precision_root(name, make):
+    h = make()
+    phi = InverseFn(h)
+    rng = np.random.default_rng(20150503)
+    ys = np.sort(np.exp(rng.uniform(math.log(phi.y0 + 1.0), math.log(1e8),
+                                    32)))
+    lo, hi = phi.enclose(ys)
+    with mpmath.workdps(40):
+        for y, a, b in zip(ys.tolist(), lo.tolist(), hi.tolist()):
+            root = mpmath.findroot(lambda x: _mp_h(h, x) - y,
+                                   mpmath.mpf(0.5 * (a + b)))
+            assert mpmath.mpf(a) < root < mpmath.mpf(b)
+
+
+def test_enclose_does_not_depend_on_the_other_points():
+    # a point's enclosure is certified whatever the others are: a run and
+    # its pieces enclose the same pair
+    phi = InverseFn(RegVaryFn(1.1, SlowlyVaryingSpec("log_power", B=1.0)))
+    y = np.arange(3.0, 3000.0)
+    head, tail = phi.pair(y)
+    v = np.asarray(head, dtype=np.longdouble) + tail
+    for part in (slice(0, 1), slice(5, 70), slice(1000, None)):
+        lo, hi = phi.enclose(y[part])
+        assert np.all(lo < v[part]) and np.all(v[part] < hi)

@@ -28,6 +28,10 @@ def x15(x0=1.0):
     return RegVaryFn(1.5, SlowlyVaryingSpec("constant_one"), x0=x0)
 
 
+def x11logx():
+    return RegVaryFn(1.1, SlowlyVaryingSpec("log_power", B=1.0))
+
+
 class ConstPsi:
     """Synthetic window for membership edge cases."""
 
@@ -242,6 +246,7 @@ def _builds():
     sets = [build_frac_set(SetSpec(kind, h, h, 2 * 10**5))
             for kind in ("frac_plus", "frac_minus")]
     sets.append(build_floor_set(h, 2 * 10**5))
+    sets.append(build_frac_set(SetSpec("frac_plus", h, x11logx(), 2 * 10**4)))
     return [(s.members, s.borderline_count) for s in sets]
 
 
@@ -267,6 +272,18 @@ def test_frac_build_memory_is_bounded_by_the_block():
     assert peak < 8 * 2**20
 
 
+def test_screened_build_memory_is_bounded_by_the_block():
+    # the screen's enclosures and the open indices are all it adds
+    spec = SetSpec("frac_plus", xlogx(), x11logx(), 1 << 20)
+    tracemalloc.start()
+    try:
+        build_frac_set(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("kind,sha1", [
     ("frac_plus", "6f102d172762d681ad68b6e1a814150065c1f627"),
     ("frac_minus", "94052f3f2cf643857146bc84ee8334eaabecc14f"),
@@ -276,6 +293,98 @@ def test_xlogx_members_at_1e7_are_pinned(kind, sha1):
     s = build_frac_set(SetSpec(kind, h, h, 10**7))
     assert len(s) == 739_952 and s.borderline_count == 0
     assert hashlib.sha1(s.members.tobytes()).hexdigest() == sha1
+
+
+# ------------------------------------------------------- screened scans
+
+
+def member_frac_everywhere(spec):
+    """The members and borderline count of member_frac on every index of
+    the frac scan of spec, BLOCK indices at a time: the unscreened rule."""
+    phi1, psi, n_min = sparseset.frac_scan(spec.h1, spec.h2, spec.psi_mode)
+    sign = spec.kind.removeprefix("frac_")
+    members, borderline = [np.empty(0, dtype=np.int64)], 0
+    for n in rvfunc.index_chunks(n_min, spec.N, rvfunc.BLOCK):
+        member, margin = member_frac(n, phi1, psi, sign)
+        borderline += int(np.count_nonzero(
+            np.abs(margin) < sparseset.DEFAULT_GUARD))
+        members.append(n[member].astype(np.int64))
+    return np.concatenate(members), borderline
+
+
+def _h(c, kind, **kw):
+    return lambda: RegVaryFn(c, SlowlyVaryingSpec(kind, **kw))
+
+
+SCREENED_PAIRS = [
+    ("xlogx-x11logx", xlogx, x11logx, 2 * 10**5),
+    ("iterlog2-explog", _h(1.0, "iterated_log", m=2),
+     _h(1.05, "exp_log_power", B=0.3, C=0.5), 10**5),
+    ("explog-iterlog3", _h(1.0, "exp_log_power", B=0.3, C=0.5),
+     _h(1.2, "iterated_log", m=3), 10**5),
+    ("iterlog3-xlog2x", _h(1.0, "iterated_log", m=3),
+     _h(1.0, "log_power", B=2.0), 5 * 10**4),
+]
+
+
+@pytest.mark.parametrize("kind", ["frac_plus", "frac_minus"])
+@pytest.mark.parametrize("h1,h2,N", [p[1:] for p in SCREENED_PAIRS],
+                         ids=[p[0] for p in SCREENED_PAIRS])
+def test_screened_scan_equals_member_frac_everywhere(h1, h2, N, kind,
+                                                     monkeypatch):
+    # with h2 != h1 the enclosures decide almost every index, and
+    # member_frac takes the rest: the same members and borderline count
+    exact = []
+    real = sparseset.member_frac
+
+    def recording(n, phi1, psi, sign):
+        exact.append(np.size(n))
+        return real(n, phi1, psi, sign)
+
+    spec = SetSpec(kind, h1(), h2(), N)
+    monkeypatch.setattr(sparseset, "member_frac", recording)
+    s = build_frac_set(spec)
+    monkeypatch.undo()
+    members, borderline = member_frac_everywhere(spec)
+    assert np.array_equal(s.members, members)
+    assert s.borderline_count == borderline
+    assert len(members) > 100
+    assert sum(exact) <= 1e-3 * (N - s.n_min + 1)
+
+
+@pytest.mark.parametrize("kind,count,sha1", [
+    ("frac_plus", 33_890, "f81f670333990e45120e4744d74f5469a3d87ebf"),
+    ("frac_minus", 33_786, "b074e2a2c6ba7f63d414ad43815f74177e40a178"),
+], ids=["frac_plus", "frac_minus"])
+def test_xlogx_x11logx_members_at_1e6_are_pinned(kind, count, sha1):
+    # the restriction workload's pair, screened; pinned from the
+    # unscreened scan
+    s = build_frac_set(SetSpec(kind, xlogx(), x11logx(), 10**6))
+    assert len(s) == count and s.borderline_count == 0
+    assert hashlib.sha1(s.members.tobytes()).hexdigest() == sha1
+
+
+@pytest.mark.parametrize("edge", ["low", "high"])
+@pytest.mark.parametrize("kind", ["frac_plus", "frac_minus"])
+def test_screen_holds_with_every_enclosure_at_its_edge(kind, edge,
+                                                       monkeypatch):
+    # enclosures 2^-24 phi wide with phi 2^-34 phi inside one end are
+    # valid but as far off centre as any, and decide fewer indices; the
+    # members and borderline count must not move
+    def edge_enclose(phi, y):
+        head, tail = phi.pair(y)
+        v = head + tail
+        width, inside = 2.0**-24 * v, 2.0**-34 * v
+        if edge == "low":
+            return v - inside, v - inside + width
+        return v + inside - width, v + inside
+
+    spec = SetSpec(kind, xlogx(), x11logx(), 5 * 10**4)
+    members, borderline = member_frac_everywhere(spec)
+    monkeypatch.setattr(InverseFn, "enclose", edge_enclose)
+    s = build_frac_set(spec)
+    assert np.array_equal(s.members, members)
+    assert s.borderline_count == borderline
 
 
 # -------------------------------------------------------------- counting

@@ -186,6 +186,75 @@ def test_lp_norm_ffts_sample_each_point_once(monkeypatch, p, degree):
     assert len(cosets) * M == got.grid_size
 
 
+def full_walk_reference(P, p, tol):
+    """lp_norm's rule with every coset of every grid walked at weight 1,
+    as for complex coefficients."""
+    M = _grid_length(P.degree)
+    K = 8 * M
+    walk = _coset_walker(P.support, M)
+    power = np.zeros(M)
+    even = p == int(p) and int(p) % 2 == 0
+    new, prev = range(8), None
+    while True:
+        for vals in walk([P.coeffs], K, new):
+            power += np.abs(vals) ** p
+        value = float((np.sum(power) / K) ** (1.0 / p))
+        if even and K > p * P.degree:
+            return QuadratureResult(value, K, 0.0)
+        if prev is not None and abs(value - prev) / value < tol:
+            return QuadratureResult(value, K, abs(value - prev) / value)
+        prev, K = value, 2 * K
+        new = range(1, K // M, 2)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 4.2])
+def test_real_coefficients_walk_half_the_cosets(p):
+    # |P(-x)| = |P(x)|: the half walk stops on the same grid as the full
+    # one, with the same value up to the order of the sums
+    r = np.random.default_rng(derive_seed(28, int(10 * p)))
+    for size, degree in ((3, 7), (40, 3000), (400, SPLIT_AT + 700)):
+        support = np.sort(r.choice(degree + 1, size=size, replace=False))
+        support[-1] = degree
+        P = TrigPoly(support, r.standard_normal(size))
+        got, ref = lp_norm(P, p), full_walk_reference(P, p, 1e-8)
+        assert got.grid_size == ref.grid_size
+        assert got.value == pytest.approx(ref.value, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("imag, transforms", [(0.0, 5), (1e-300, 8)],
+                         ids=["real", "complex"])
+def test_any_imaginary_part_takes_the_full_walk(monkeypatch, imag, transforms):
+    # p = 4 stops on the first grid of 8 cosets: 0..4 of them for real
+    # coefficients, all 8 once one coefficient has an imaginary part
+    r = np.random.default_rng(83)
+    support = np.sort(r.choice(201, size=12, replace=False))
+    coeffs = r.standard_normal(12).astype(np.complex128)
+    coeffs[3] += 1j * imag
+    calls = []
+    ifft = np.fft.ifft
+
+    def counting_ifft(a, *args, **kwargs):
+        calls.append(a.shape)
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+    got = lp_norm(TrigPoly(support, coeffs), 4.0)
+    assert got.grid_size == 8 * _grid_length(int(support[-1]))
+    assert len(calls) == transforms
+
+
+def test_coset_plan_weights_cover_every_coset():
+    # each walked coset stands for itself and, at weight 2, its mirror
+    for n in (8, 16, 64):
+        for cosets in (range(n), range(1, n, 2)):
+            plan = trigpoly._coset_plan(cosets, n, True)
+            assert sum(w for _, w in plan) == len(cosets)
+            covered = {r for r, _ in plan} | {(n - r) % n for r, _ in plan}
+            assert covered == set(cosets)
+        assert (trigpoly._coset_plan(range(n), n, False)
+                == [(r, 1) for r in range(n)])
+
+
 @pytest.mark.parametrize("M", [1 << 10, SPLIT_AT, 4 * SPLIT_AT])
 def test_grid_dft_equals_direct_sums(M):
     # values and at_support against the sums they stand for, with exact
